@@ -163,6 +163,16 @@ def _path_key(p):
     return (len(p.arrows), tuple(ar.canonical_id() for ar in p.arrows))
 
 
+def _id_index(paths):
+    """Arrow-id tuples of each vertex's basis paths, and their positions.
+
+    The paths at one vertex share both endpoints, so the tuple names one.
+    """
+    ids = {v: [_path_key(p)[1] for p in ps] for v, ps in paths.items()}
+    index = {v: {t: k for k, t in enumerate(ts)} for v, ts in ids.items()}
+    return ids, index
+
+
 def build_P(q, a, n):
     """Projective at ``a`` on Window(n): fibers spanned by paths from a."""
     return _build_P_on(instantiate_window(q, n), a)
@@ -175,18 +185,14 @@ def _build_P_on(window, a):
         )
     paths = _path_basis(window, a)
     dims = {v: len(ps) for v, ps in paths.items()}
-    index = {
-        v: {p.describe(): k for k, p in enumerate(ps)}
-        for v, ps in paths.items()
-    }
+    ids, index = _id_index(paths)
     maps = {}
     for ar in window.arrows:
-        src_ps = paths.get(ar.source, [])
+        aid = ar.canonical_id()
         m = ratmat.zeros(dims.get(ar.target, 0), dims.get(ar.source, 0))
-        for k, p in enumerate(src_ps):
-            ext = Path(p.source, p.arrows + (ar,))
-            m[index[ar.target][ext.describe()]][k] = Fraction(1)
-        maps[ar.canonical_id()] = m
+        for k, t in enumerate(ids.get(ar.source, ())):
+            m[index[ar.target][t + (aid,)]][k] = Fraction(1)
+        maps[aid] = m
     labels = {v: tuple(p.describe() for p in ps) for v, ps in paths.items()}
     return RepWindow(window, dims, maps, labels)
 
@@ -203,25 +209,29 @@ def _build_I_on(window, a):
         )
     paths = _path_basis(window, a, reverse=True)
     dims = {v: len(ps) for v, ps in paths.items()}
-    index = {
-        v: {p.describe(): k for k, p in enumerate(ps)}
-        for v, ps in paths.items()
-    }
-    maps = {}
-    for ar in window.arrows:
-        # dual of precomposition: basis functional p at the target pulls
-        # back from the functional at (ar then p) on the source side
-        src_index = index.get(ar.source, {})
-        tgt_ps = paths.get(ar.target, [])
-        m = ratmat.zeros(dims.get(ar.target, 0), dims.get(ar.source, 0))
-        for k, p in enumerate(tgt_ps):
-            pre = Path(ar.source, (ar,) + p.arrows)
-            col = src_index.get(pre.describe())
-            if col is not None:
-                m[k][col] = Fraction(1)
-        maps[ar.canonical_id()] = m
+    maps = _precomposition_maps(window, paths, dims)
     labels = {v: tuple(p.describe() for p in ps) for v, ps in paths.items()}
     return RepWindow(window, dims, maps, labels)
+
+
+def _precomposition_maps(window, paths, dims):
+    """Arrow maps dual to precomposition on per-vertex path bases.
+
+    The basis functional p at the target pulls back from the functional
+    at (ar then p) on the source side, when that path is in its basis.
+    """
+    ids, index = _id_index(paths)
+    maps = {}
+    for ar in window.arrows:
+        aid = ar.canonical_id()
+        src_index = index.get(ar.source, {})
+        m = ratmat.zeros(dims.get(ar.target, 0), dims.get(ar.source, 0))
+        for k, t in enumerate(ids.get(ar.target, ())):
+            col = src_index.get((aid,) + t)
+            if col is not None:
+                m[k][col] = Fraction(1)
+        maps[aid] = m
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +294,7 @@ def build_Y(q, cls, n):
     bigw = eng.window(big)
     fwd = _adj(bigw, False)
     reach = counts1
-    dims, maps, labels = {}, {}, {}
+    dims, labels = {}, {}
     chosen = {}
     for v in window.vertices:
         want = counts1.get(v, 0)
@@ -323,20 +333,7 @@ def build_Y(q, cls, n):
             (entry, prefix.describe()) for (entry, _), _, prefix in keyed
         )
         chosen[v] = [p for _, p, _ in keyed]
-    index = {
-        v: {p.describe(): k for k, p in enumerate(ps)}
-        for v, ps in chosen.items()
-    }
-    for ar in window.arrows:
-        src_index = index.get(ar.source, {})
-        tgt_ps = chosen.get(ar.target, [])
-        m = ratmat.zeros(dims.get(ar.target, 0), dims.get(ar.source, 0))
-        for k, p in enumerate(tgt_ps):
-            pre = Path(ar.source, (ar,) + p.arrows)
-            col = src_index.get(pre.describe())
-            if col is not None:
-                m[k][col] = Fraction(1)
-        maps[ar.canonical_id()] = m
+    maps = _precomposition_maps(window, chosen, dims)
     return RepWindow(window, dims, maps, labels)
 
 
@@ -590,11 +587,7 @@ class HomSpace:
         return MorphismWindow(m, self.standard, comps)
 
     def extract(self, f):
-        comp = (
-            f.component(self.vertex)
-            if self.kind == "from_projective"
-            else f.component(self.vertex)
-        )
+        comp = f.component(self.vertex)
         if self.kind == "from_projective":
             # evaluate at the trivial path, the first basis element
             return [row[0] for row in comp]

@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Elimination is fraction-free
-(Bareiss) on a denominator-cleared copy, so intermediate entries stay
-integers of controlled size; kernels, solutions and reduced bases are then
-read off the echelon form.
+Matrices are lists of rows of Fractions.  Elimination is sparse exact
+Gauss-Jordan: each input row is scanned once and kept as a {column:
+Fraction} dict of its nonzero entries, so eliminating the 0/1 maps of path
+representations, with at most one nonzero per row and column, costs their
+nonzeros rather than rows x columns.  Ranks, kernels, solutions and reduced
+bases are read off the reduced row echelon form, which is unique, so they
+do not depend on the order of elimination.
 """
 
 from fractions import Fraction
-from math import gcd
 
 
 def mat(rows):
@@ -55,68 +57,73 @@ def is_zero(a):
     return all(x == 0 for row in a for x in row)
 
 
-def _integer_rows(a):
-    """Per-row denominator clearing; keeps row space and kernel."""
-    out = []
+def _echelon(a):
+    """Sparse forward elimination: {pivot column: row} for the row space.
+
+    Each row is a {col: Fraction} dict holding only nonzero entries, with
+    a 1 at its pivot, the least column it holds.  A new row is reduced by
+    clearing its least pivot column until none is left; a pivot row holds
+    no column left of its pivot, so each subtraction only adds columns to
+    the right of the one it clears.
+    """
+    piv = {}
     for row in a:
-        d = 1
-        for x in row:
-            fx = Fraction(x)
-            d = d * fx.denominator // gcd(d, fx.denominator)
-        out.append([int(Fraction(x) * d) for x in row])
+        r = {c: Fraction(x) for c, x in enumerate(row) if x}
+        while True:
+            c = min((c for c in r if c in piv), default=None)
+            if c is None:
+                break
+            _axpy(r, -r[c], piv[c])
+        if r:
+            p = min(r)
+            inv = r[p]
+            piv[p] = {c: x / inv for c, x in r.items()}
+    return piv
+
+
+def _reduce(a):
+    """The nonzero rows of rref(a) as (pivot column, row dict) pairs.
+
+    Back-substitution runs once, from the rightmost pivot leftwards, so
+    every row it subtracts is already reduced and adds no pivot column.
+    """
+    piv = _echelon(a)
+    order = sorted(piv)
+    for p in reversed(order):
+        r = piv[p]
+        for c in [c for c in r if c != p and c in piv]:
+            _axpy(r, -r[c], piv[c])
+    return [(p, piv[p]) for p in order]
+
+
+def _axpy(r, f, row):
+    """r += f * row in place, dropping entries that cancel."""
+    for c, y in row.items():
+        x = r.get(c, 0) + f * y
+        if x:
+            r[c] = x
+        else:
+            r.pop(c, None)
+
+
+def _dense(rows, cols):
+    out = []
+    for _, r in rows:
+        d = [Fraction(0)] * cols
+        for c, x in r.items():
+            d[c] = x
+        out.append(d)
     return out
 
 
-def echelon(a):
-    """Fraction-free row echelon form: (integer matrix, pivot columns).
-
-    Bareiss elimination; the returned rows span the same row space as the
-    input and zero rows are trimmed.
-    """
-    m = _integer_rows(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(cols):
-        p = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                p = i
-                break
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m[:r], pivots
-
-
 def rank(a):
-    return len(echelon(a)[1])
+    return len(_echelon(a))
 
 
 def rref(a):
     """Reduced row echelon form over Fractions: (rows, pivot columns)."""
-    e, pivots = echelon(a)
-    m = mat(e)
-    for r in range(len(m) - 1, -1, -1):
-        c = pivots[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(r):
-            f = m[i][c]
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-    return m, pivots
+    rows = _reduce(a)
+    return _dense(rows, len(a[0]) if a else 0), [p for p, _ in rows]
 
 
 def kernel_basis(a, cols=None):
@@ -125,40 +132,39 @@ def kernel_basis(a, cols=None):
         cols = len(a[0]) if a else 0
     if not a or cols == 0:
         return identity(cols)
-    m, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        out.append(v)
-    return out
+    rows = _reduce(a)
+    pivots = {p for p, _ in rows}
+    out = {}
+    for fc in range(cols):
+        if fc not in pivots:
+            v = [Fraction(0)] * cols
+            v[fc] = Fraction(1)
+            out[fc] = v
+    for p, r in rows:
+        for c, x in r.items():
+            if c != p:
+                out[c][p] = -x
+    return list(out.values())
 
 
 def solve(a, b):
     """One solution of a x = b, or None."""
+    if len(a) != len(b):
+        raise ValueError("shape mismatch in linear system")
     cols = len(a[0]) if a else 0
-    aug = [list(map(Fraction, row)) + [Fraction(bb)] for row, bb in zip(a, b)]
-    if not aug:
-        return [Fraction(0)] * cols
-    m, pivots = rref(aug)
     x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        if pc == cols:
+    for p, r in _reduce([list(row) + [bb] for row, bb in zip(a, b)]):
+        if p == cols:
             return None
-        x[pc] = m[r][cols]
+        x[p] = r.get(cols, Fraction(0))
     return x
 
 
 def span_basis(vectors):
     """Reduced basis of the span of the given row vectors."""
-    vecs = [v for v in vectors if any(Fraction(x) != 0 for x in v)]
-    if not vecs:
+    if not vectors:
         return []
-    m, _ = rref(vecs)
-    return [row for row in m if any(x != 0 for x in row)]
+    return _dense(_reduce(vectors), len(vectors[0]))
 
 
 def in_span(vectors, v):
@@ -195,11 +201,15 @@ def intersect_spaces(u, v):
 
 
 def complement_basis(u, n):
-    """Coordinate vectors extending span(u) to the full space."""
-    base = span_basis(u) if u else []
-    out = []
-    for c in range(n):
-        e = [Fraction(1) if i == c else Fraction(0) for i in range(n)]
-        if not in_span(base + out, e):
-            out.append(e)
-    return out
+    """Coordinate vectors extending span(u) to the full space.
+
+    e_c is taken, in increasing c, unless it lies in span(u) plus the e_j
+    before it, i.e. unless c is the last nonzero column of some vector of
+    span(u); those columns are the pivots of u with its columns reversed.
+    """
+    last = {n - 1 - p for p in _echelon([row[::-1] for row in u])}
+    return [
+        [Fraction(1) if i == c else Fraction(0) for i in range(n)]
+        for c in range(n)
+        if c not in last
+    ]

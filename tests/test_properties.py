@@ -72,10 +72,14 @@ def test_dim_law_against_brute(seed):
         m = linrep.build_P(q, a, 3)
         for b in w.vertices:
             assert m.dim(b) == len(groups.get(b, ()))
+        assert linrep.socle(m).dims_dict() == oracle.brute_socle(m)
+        assert linrep.radical(m).dims_dict() == oracle.brute_radical(m)
         groups = oracle.paths_from(g, a, reverse=True)
         m = linrep.build_I(q, a, 3)
         for b in w.vertices:
             assert m.dim(b) == len(groups.get(b, ()))
+        assert linrep.socle(m).dims_dict() == oracle.brute_socle(m)
+        assert linrep.radical(m).dims_dict() == oracle.brute_radical(m)
 
 
 @settings(max_examples=20, deadline=None)
@@ -106,8 +110,40 @@ def fraction_matrices(max_n=4):
             st.lists(entry, min_size=c, max_size=c), min_size=1, max_size=4))
 
 
-@settings(max_examples=50, deadline=None)
-@given(fraction_matrices())
+def sparse_matrices(max_n=12):
+    """Matrices shaped like path-representation maps: at most one nonzero
+    per row, or a low density of fractional entries."""
+    entry = st.fractions(
+        min_value=Fraction(-4), max_value=Fraction(4), max_denominator=3)
+    dims = st.tuples(st.integers(1, max_n), st.integers(1, max_n))
+
+    def one_per_row(rc):
+        cell = st.none() | st.tuples(st.integers(0, rc[1] - 1), entry)
+        return st.lists(cell, min_size=rc[0], max_size=rc[0]).map(
+            lambda cells: _filled(rc, [
+                (i, c[0], c[1]) for i, c in enumerate(cells) if c]))
+
+    def low_density(rc):
+        cell = st.tuples(
+            st.integers(0, rc[0] - 1), st.integers(0, rc[1] - 1), entry)
+        return st.lists(cell, max_size=rc[0] * rc[1] // 8 + 1).map(
+            lambda cells: _filled(rc, cells))
+
+    return dims.flatmap(lambda rc: one_per_row(rc) | low_density(rc))
+
+
+def _filled(rc, cells):
+    a = ratmat.zeros(*rc)
+    for i, j, x in cells:
+        a[i][j] = x
+    return a
+
+
+MATRICES = fraction_matrices() | sparse_matrices()
+
+
+@settings(max_examples=100, deadline=None)
+@given(MATRICES)
 def test_rank_matches_brute_and_transpose(rows):
     a = ratmat.mat(rows)
     r = ratmat.rank(a)
@@ -115,8 +151,8 @@ def test_rank_matches_brute_and_transpose(rows):
     assert r == ratmat.rank(ratmat.transpose(a))
 
 
-@settings(max_examples=50, deadline=None)
-@given(fraction_matrices())
+@settings(max_examples=100, deadline=None)
+@given(MATRICES)
 def test_kernel_annihilates(rows):
     a = ratmat.mat(rows)
     cols = len(rows[0])
@@ -124,6 +160,26 @@ def test_kernel_annihilates(rows):
     assert len(basis) == cols - ratmat.rank(a)
     for v in basis:
         assert ratmat.mat_vec(a, v) == [0] * len(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(MATRICES.flatmap(lambda a: st.tuples(st.just(a), st.permutations(a))))
+def test_rref_independent_of_row_order(pair):
+    a, shuffled = pair
+    assert ratmat.rref(shuffled) == ratmat.rref(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(MATRICES)
+def test_complement_basis_is_greedy(rows):
+    # reference: take e_c in increasing c unless the span already has it
+    n = len(rows[0])
+    want = []
+    for c in range(n):
+        e = [Fraction(int(i == c)) for i in range(n)]
+        if not ratmat.in_span(list(rows) + want, e):
+            want.append(e)
+    assert ratmat.complement_basis(rows, n) == want
 
 
 @settings(max_examples=50, deadline=None)

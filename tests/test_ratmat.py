@@ -47,6 +47,12 @@ def test_rank_and_rref():
     assert rm.rank(rows) == 2
     assert rm.rank(rm.identity(4)) == 4
     assert rm.rank([]) == 0
+    # reducing the last row by the first brings in column 2, a pivot
+    # found after the first row, which must be cleared in turn
+    fill = rm.mat([[1, 0, 1, 0], [0, 0, 1, 1], [1, 0, 0, 0]])
+    assert rm.rank(fill) == 3
+    assert rm.rref(fill) == (rm.mat([[1, 0, 0, 0], [0, 0, 1, 0],
+                                     [0, 0, 0, 1]]), [0, 2, 3])
 
 
 def test_rank_fractional_pivots():
@@ -62,6 +68,13 @@ def test_solve_and_kernel():
     assert len(k) == 2
     for v in k:
         assert rm.mat_vec(rm.mat([[1, 1, 0]]), v) == [0]
+
+
+def test_solve_rejects_mismatched_right_hand_side():
+    with pytest.raises(ValueError):
+        rm.solve(rm.identity(2), [5, 6, 7])
+    with pytest.raises(ValueError):
+        rm.solve(rm.identity(2), [5])
 
 
 def test_kernel_of_empty_matrix_is_full_space():
