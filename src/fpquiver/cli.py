@@ -15,7 +15,7 @@ from . import linrep, oracle
 from .classify import classify
 from .linrep import InfiniteDimensionAt, build_I, build_P, build_Y, dump_rep
 from .patterns import Infinite, InternalConsistencyError
-from .qdl import QdlError, UnknownIdError, core, instantiate_window, parse, ray
+from .qdl import QdlError, UnknownIdError, instantiate_window, parse, parse_vertex_id
 from .regions import NotIntervalFinite, PreconditionError, engine_for
 
 EXIT_OK = 0
@@ -48,24 +48,6 @@ def _describe(obj):
     return str(obj)
 
 
-def _vertex_arg(q, text):
-    """Parse a canonical vertex id (v:name or r:name:index)."""
-    parts = text.split(":")
-    vref = None
-    if len(parts) == 2 and parts[0] == "v":
-        vref = core(parts[1])
-    elif len(parts) == 3 and parts[0] == "r":
-        try:
-            vref = ray(parts[1], int(parts[2]))
-        except ValueError:
-            raise UnknownIdError(f"malformed vertex id {text!r}")
-    if vref is None:
-        raise UnknownIdError(f"malformed vertex id {text!r}")
-    if not q.has_vertex(vref):
-        raise UnknownIdError(f"no vertex {text!r} in quiver {q.name!r}")
-    return vref
-
-
 def _class_arg(q, text):
     classes, _ = engine_for(q).tail_classes()
     for cls in classes:
@@ -73,10 +55,6 @@ def _class_arg(q, text):
             return cls
     known = ", ".join(c.class_id() for c in classes) or "none"
     raise UnknownIdError(f"no tail class {text!r} (known: {known})")
-
-
-def _set_line(q, supp):
-    return supp.summary(q)
 
 
 def cmd_validate(args):
@@ -151,8 +129,8 @@ def cmd_query(args):
     if kind == "paths":
         if len(rest) != 2:
             raise UnknownIdError("paths takes two vertex ids")
-        a = _vertex_arg(q, rest[0])
-        b = _vertex_arg(q, rest[1])
+        a = parse_vertex_id(q, rest[0])
+        b = parse_vertex_id(q, rest[1])
         card = eng.path_count(a, b)
         if isinstance(card, Infinite):
             w = card.witness
@@ -165,14 +143,14 @@ def cmd_query(args):
     elif kind in ("pred", "succ", "out", "in"):
         if len(rest) != 1:
             raise UnknownIdError(f"{kind} takes one vertex id")
-        v = _vertex_arg(q, rest[0])
+        v = parse_vertex_id(q, rest[0])
         supp = {
             "pred": eng.predecessors,
             "succ": eng.successors,
             "out": eng.out_neighbors,
             "in": eng.in_neighbors,
         }[kind](v)
-        lines.append(f"result: {_set_line(q, supp)}")
+        lines.append(f"result: {supp.summary(q)}")
     elif kind in ("supp", "boundary"):
         if len(rest) != 1:
             raise UnknownIdError(f"{kind} takes one class id")
@@ -180,7 +158,7 @@ def cmd_query(args):
         supp = eng.class_support(cls)
         if kind == "boundary":
             supp = eng.step_image(supp).difference(supp)
-        lines.append(f"result: {_set_line(q, supp)}")
+        lines.append(f"result: {supp.summary(q)}")
     else:  # pragma: no cover - argparse restricts choices
         raise UnknownIdError(f"unknown query kind {kind!r}")
     print("\n".join(lines))
@@ -210,9 +188,9 @@ def cmd_rep(args):
     if radius < 0:
         raise PreconditionError("--window must be nonnegative")
     if args.kind == "P":
-        m = build_P(q, _vertex_arg(q, args.id), radius)
+        m = build_P(q, parse_vertex_id(q, args.id), radius)
     elif args.kind == "I":
-        m = build_I(q, _vertex_arg(q, args.id), radius)
+        m = build_I(q, parse_vertex_id(q, args.id), radius)
     else:
         m = build_Y(q, _class_arg(q, args.id), radius)
     if args.dot:

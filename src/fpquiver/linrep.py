@@ -43,12 +43,10 @@ class RepWindow:
             m = self.maps.get(a.canonical_id())
             if m is None:
                 continue
-            want = (self.dim(a.target), self.dim(a.source))
-            got = (len(m), len(m[0]) if m else 0)
-            if m and got != want:
+            rows, cols = self.dim(a.target), self.dim(a.source)
+            if len(m) != rows or any(len(r) != cols for r in m):
                 raise ValueError(
-                    f"matrix for {a.canonical_id()} has shape {got}, "
-                    f"expected {want}"
+                    f"matrix for {a.canonical_id()} is not {rows}x{cols}"
                 )
         for v, labels in self.basis_labels.items():
             if len(labels) != len(set(labels)) or len(labels) != self.dim(v):
@@ -129,24 +127,16 @@ class MorphismWindow:
 # path bases
 
 
-def _adj(window, reverse):
-    adj = {}
-    for ar in window.arrows:
-        key = ar.target if reverse else ar.source
-        adj.setdefault(key, []).append(ar)
-    return adj
-
-
 def _path_basis(window, a, reverse=False):
     """All window paths out of ``a`` (or into it, if reverse), grouped by
     the other endpoint and sorted by (length, arrow labels)."""
-    adj = _adj(window, reverse)
+    adj = window.arrows_into if reverse else window.arrows_from
     out = {a: [Path(a, ())]}
     stack = [(a, ())]
     limit = len(window.vertices)
     while stack:
         v, arrows = stack.pop()
-        for ar in adj.get(v, ()):
+        for ar in adj(v):
             w = ar.source if reverse else ar.target
             new = arrows + (ar,)
             if len(new) > limit:
@@ -238,13 +228,6 @@ def _precomposition_maps(window, paths, dims):
 # tail-class limits
 
 
-def _orbit_arrow(eng, cls, at, k):
-    """The instantiated cycle arrow leaving config ``at`` at orbit step k."""
-    f = eng._families[cls.cycle[k % len(cls.cycle)]]
-    i = at.index - f.source.shift
-    return f.label, i, f.target.resolve(i)
-
-
 def build_Y(q, cls, n):
     """Limit representation of a tail class on Window(n).
 
@@ -288,11 +271,10 @@ def build_Y(q, cls, n):
         raise InternalConsistencyError("class orbit missed its checkpoint")
     orbit_ids = []
     for k, at in enumerate(configs[:-1]):
-        label, i, _ = _orbit_arrow(eng, cls, at, k)
+        label, i, _ = eng.orbit_step(cls, at, k)
         orbit_ids.append(f"{label}@{i}")
     m_steps = len(orbit_ids)
     bigw = eng.window(big)
-    fwd = _adj(bigw, False)
     reach = counts1
     dims, labels = {}, {}
     chosen = {}
@@ -307,7 +289,7 @@ def build_Y(q, cls, n):
             if at == t1:
                 found.append(Path(v, arrows))
                 continue
-            for ar in fwd.get(at, ()):
+            for ar in bigw.arrows_from(at):
                 w = ar.target
                 if w == t1 or w in reach:
                     stack.append((w, arrows + (ar,)))
@@ -667,12 +649,9 @@ def eventual_tail_bijectivity(i, cls):
 
     configs = {0: cls.start}
     k = 0
-    at = cls.start
-    while abs(at.index) <= window.radius + cushion:
-        label, i_fam, nxt = _orbit_arrow(eng, cls, at, k)
-        configs[k + 1] = nxt
+    while abs(configs[k].index) <= window.radius + cushion:
+        configs[k + 1] = eng.orbit_step(cls, configs[k], k)[2]
         k += 1
-        at = nxt
     at = cls.start
     k = 0
     while True:
@@ -717,7 +696,7 @@ def eventual_tail_bijectivity(i, cls):
     dims = [i.dim(v) for v in verts]
     bij = []
     for pos, kk in enumerate(run[:-1]):
-        label, i_fam, _ = _orbit_arrow(eng, cls, configs[kk], kk)
+        label, i_fam, _ = eng.orbit_step(cls, configs[kk], kk)
         aid = f"{label}@{i_fam}"
         if aid not in arrow_ids:
             raise InternalConsistencyError(

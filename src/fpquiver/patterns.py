@@ -218,26 +218,6 @@ class IndexSet:
     def elements_in(self, lo, hi):
         return [i for i in range(lo, hi + 1) if self.contains(i)]
 
-    def contains_progression(self, start, stride):
-        """Does the set contain start, start+stride, start+2*stride, ...?
-
-        ``stride`` may be negative (a descending progression).
-        """
-        if stride == 0:
-            return self.contains(start)
-        tail = self.up if stride > 0 else self.down
-        if tail is None:
-            return False
-        t, p, rs = tail
-        i = start
-        # walk pointwise until inside the tail zone, then check the orbit
-        while (stride > 0 and i < t) or (stride < 0 and i > t):
-            if not self.contains(i):
-                return False
-            i += stride
-        steps = p // math.gcd(abs(stride) % p or p, p)
-        return all((i + k * stride) % p in rs for k in range(steps + 1))
-
     # --- algebra -----------------------------------------------------------
 
     def shift(self, k):

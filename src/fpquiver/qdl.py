@@ -10,7 +10,7 @@ it are materialized with :func:`instantiate_window`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DOMAIN_NAT = "nat"
 DOMAIN_INT = "int"
@@ -100,16 +100,6 @@ class Endpoint:
         if i is None:
             raise ValueError("variable endpoint needs an index")
         return ray(self.name, i + self.shift)
-
-    def render(self):
-        if self.kind == "core":
-            return self.name
-        if self.kind == "ray-const":
-            return f"{self.name}[{self.shift}]"
-        if self.shift == 0:
-            return f"{self.name}[i]"
-        sign = "+" if self.shift > 0 else "-"
-        return f"{self.name}[i{sign}{abs(self.shift)}]"
 
 
 @dataclass(frozen=True)
@@ -228,9 +218,6 @@ class QuiverDescription:
     def is_ray(self, name):
         return any(name == n for n, _ in self.rays)
 
-    def is_core(self, name):
-        return name in self.core_vertices
-
     def has_vertex(self, vref):
         if vref.kind == "core":
             return vref.name in self.core_vertices
@@ -246,11 +233,6 @@ class QuiverDescription:
         if vref.kind == "core":
             return True
         return abs(vref.index) <= radius
-
-    def labels(self):
-        return tuple(a.label for a in self.arrows) + tuple(
-            f.label for f in self.families
-        )
 
     def constants(self):
         """All constant indices appearing in the description."""
@@ -379,42 +361,19 @@ def instantiate_window(q, radius):
 def parse_vertex_id(q, text):
     """Resolve 'v:<name>' or 'r:<name>:<index>' against the description."""
     parts = text.split(":")
+    vref = None
     if len(parts) == 2 and parts[0] == "v":
         vref = core(parts[1])
     elif len(parts) == 3 and parts[0] == "r":
         try:
             vref = ray(parts[1], int(parts[2]))
         except ValueError:
-            raise UnknownIdError(text)
-    else:
-        raise UnknownIdError(text)
+            pass
+    if vref is None:
+        raise UnknownIdError(f"malformed vertex id {text!r}")
     if not q.has_vertex(vref):
-        raise UnknownIdError(text)
+        raise UnknownIdError(f"no vertex {text!r} in quiver {q.name!r}")
     return vref
-
-
-def parse_arrow_id(q, text):
-    """Resolve '<label>' or '<label>@<i>' to a concrete ArrowRef."""
-    if "@" in text:
-        label, _, idx = text.rpartition("@")
-        try:
-            i = int(idx)
-        except ValueError:
-            raise UnknownIdError(text)
-        for f in q.families:
-            if f.label == label:
-                if f.lower is not None and i < f.lower:
-                    raise UnknownIdError(text)
-                src = f.source.resolve(i)
-                tgt = f.target.resolve(i)
-                if q.has_vertex(src) and q.has_vertex(tgt):
-                    return ArrowRef(label, i, src, tgt)
-                raise UnknownIdError(text)
-        raise UnknownIdError(text)
-    for a in q.arrows:
-        if a.label == text:
-            return ArrowRef(a.label, None, a.source.resolve(), a.target.resolve())
-    raise UnknownIdError(text)
 
 
 # ---------------------------------------------------------------------------
@@ -669,38 +628,3 @@ def _column(line, pos):
 def parse(text):
     """Parse a description; raises QdlSyntaxError subclasses on bad input."""
     return _Parser(text).run()
-
-
-def parse_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
-
-
-def render(q):
-    """Canonical source text; parse(render(q)) == q."""
-    lines = [f"quiver {q.name}"]
-    for name in q.core_vertices:
-        lines.append(f"vertex {name}")
-    for name, dom in q.rays:
-        lines.append(f"ray {name} domain {dom}")
-    for a in q.arrows:
-        label = "" if "#" in a.label else f"{a.label}: "
-        lines.append(f"arrow {label}{a.source.render()} -> {a.target.render()}")
-    for f in q.families:
-        label = "" if "#" in f.label else f"{f.label}: "
-        bound = "all i" if f.lower is None else f"i >= {f.lower}"
-        lines.append(
-            f"family {label}{f.source.render()} -> {f.target.render()} for {bound}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def oriented_cycle_check(q):
-    """Return a witness cycle Path if the instantiated quiver has one.
-
-    Returns None when the quiver is acyclic.  The actual decision procedure
-    lives in the region-analysis module; this is the stable entry point.
-    """
-    from . import regions
-
-    return regions.oriented_cycle_witness(q)

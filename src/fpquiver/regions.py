@@ -34,7 +34,7 @@ from .patterns import (
     SupportDescription,
     TailWitness,
 )
-from .qdl import ArrowRef, DOMAIN_INT, DOMAIN_NAT, Path, VertexRef, core, instantiate_window, ray
+from .qdl import ArrowRef, DOMAIN_INT, DOMAIN_NAT, Path, VertexRef, instantiate_window, ray
 
 
 class PreconditionError(Exception):
@@ -115,7 +115,7 @@ class StageResult:
 
 
 class _Graph:
-    __slots__ = ("window", "out_adj", "in_adj", "topo", "trans_out")
+    __slots__ = ("window", "out_adj", "in_adj", "topo", "trans_out", "upset")
 
     def __init__(self, window, out_adj, in_adj, topo, trans_out):
         self.window = window
@@ -123,18 +123,24 @@ class _Graph:
         self.in_adj = in_adj
         self.topo = topo
         self.trans_out = trans_out
+        self.upset = None  # filled in by RegionEngine.upset
 
 
 # ---------------------------------------------------------------------------
 # the engine
 
 
+# each engine keeps every window graph it built, so only the most recently
+# created engines are kept; an evicted description is rebuilt on demand
+_MAX_ENGINES = 32
 _ENGINES = {}
 
 
 def engine_for(q):
     eng = _ENGINES.get(q)
     if eng is None:
+        if len(_ENGINES) >= _MAX_ENGINES:
+            del _ENGINES[next(iter(_ENGINES))]
         eng = RegionEngine(q)
         _ENGINES[q] = eng
     return eng
@@ -152,9 +158,7 @@ class RegionEngine:
         self.base_radius = self.nstar + self.margin
         self.c_max = max((abs(c) for c in q.constants()), default=0)
         self._families = {f.label: f for f in q.families}
-        self._windows = {}
         self._graphs = {}
-        self._upsets = {}
         self._succ_cache = {}
         self._op_engine = None
         self._cycle_checked = False
@@ -168,17 +172,13 @@ class RegionEngine:
         return self._op_engine
 
     def window(self, radius):
-        w = self._windows.get(radius)
-        if w is None:
-            w = instantiate_window(self.q, radius)
-            self._windows[radius] = w
-        return w
+        return self.graph(radius).window
 
     def graph(self, radius):
         g = self._graphs.get(radius)
         if g is not None:
             return g
-        w = self.window(radius)
+        w = instantiate_window(self.q, radius)
         n = len(w.vertices)
         out_adj = [[] for _ in range(n)]
         in_adj = [[] for _ in range(n)]
@@ -249,10 +249,9 @@ class RegionEngine:
     def upset(self, radius):
         """Configs that reach a strictly higher same-ray config through
         translation arrows only (hence pump upward forever)."""
-        got = self._upsets.get(radius)
-        if got is not None:
-            return got
         g = self.graph(radius)
+        if g.upset is not None:
+            return g.upset
         w = g.window
         n = len(w.vertices)
         if g.topo is None:
@@ -275,7 +274,7 @@ class RegionEngine:
                 if reach[vi] & higher:
                     upset.add(w.vertices[vi])
                 higher |= 1 << vi
-        self._upsets[radius] = upset
+        g.upset = upset
         return upset
 
     def u_template(self):
@@ -294,17 +293,7 @@ class RegionEngine:
 
     def u_reach(self):
         """Reachability closure of the unguarded template graph."""
-        edges = self.u_template()
-        reach = {r: {r} for r in self.q.ray_names()}
-        changed = True
-        while changed:
-            changed = False
-            for _, u, v, _ in edges:
-                add = reach[v] - reach[u]
-                if add:
-                    reach[u] |= add
-                    changed = True
-        return reach
+        return _reach(self.q.ray_names(), self.u_template())
 
     def neg_cycle_rays(self):
         """Rays lying on a negative-gain cycle of unguarded translations."""
@@ -377,8 +366,9 @@ class RegionEngine:
             for c in u_reach[r0] & neg:
                 down_seeds |= u_reach[c]
 
-        up_flags = _closure(up_seeds, self.full_template())
-        down_flags = _closure(down_seeds, self.u_template())
+        full_reach = _reach(self.q.ray_names(), self.full_template())
+        up_flags = set().union(*(full_reach[r] for r in up_seeds))
+        down_flags = set().union(*(u_reach[r] for r in down_seeds))
 
         parts = {}
         for name, dom in self.q.rays:
@@ -823,7 +813,7 @@ class RegionEngine:
             ]
             if not cycles:
                 continue
-            comp = _scc_ids(self.q.ray_names(), [(u, v) for _, u, v, _ in edges])
+            comp = _scc_ids(self.q.ray_names(), edges)
             by_comp = {}
             for gain, cyc in cycles:
                 by_comp.setdefault(comp[cyc[0][1]], []).append((gain, cyc))
@@ -873,18 +863,18 @@ class RegionEngine:
         classes.sort(key=lambda c: (c.ray, c.direction, c.base_index))
         return classes, reports
 
+    def orbit_step(self, cls, at, k):
+        """The cycle arrow leaving config ``at`` at orbit step ``k``, as
+        (family label, family index, next config)."""
+        f = self._families[cls.cycle[k % len(cls.cycle)]]
+        i = at.index - f.source.shift
+        return f.label, i, f.target.resolve(i)
+
     def spell_class(self, cls, steps):
         """The first ``steps`` configs of the class representative path."""
-        fam_by_label = self._families
-        at = cls.start
-        out = [at]
-        k = 0
-        while len(out) <= steps:
-            f = fam_by_label[cls.cycle[k % len(cls.cycle)]]
-            i = at.index - f.source.shift
-            at = f.target.resolve(i)
-            out.append(at)
-            k += 1
+        out = [cls.start]
+        for k in range(steps):
+            out.append(self.orbit_step(cls, out[-1], k)[2])
         return out
 
     def classes_equivalent(self, c1, c2):
@@ -910,9 +900,7 @@ class RegionEngine:
         at = cls.start
         while abs(at.index) <= radius:
             out.append(at)
-            k = len(out) - 1
-            f = self._families[cls.cycle[k % len(cls.cycle)]]
-            at = f.target.resolve(at.index - f.source.shift)
+            at = self.orbit_step(cls, at, len(out) - 1)[2]
         return out
 
     def class_support(self, cls):
@@ -932,8 +920,7 @@ class RegionEngine:
             prev = tails.get(at.name, IndexSet.empty())
             tails[at.name] = prev.union(prog)
             if step < len(cls.cycle):
-                f = self._families[cls.cycle[step]]
-                at = f.target.resolve(at.index - f.source.shift)
+                at = self.orbit_step(cls, at, step)[2]
         return self.op()._succ_support(seeds, radius, seed_tails=tails)
 
     # --- classification stages ------------------------------------------------------------
@@ -1105,30 +1092,25 @@ class RegionEngine:
 # helpers
 
 
-def _closure(seeds, edges):
-    out = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for _, u, v, _ in edges:
-            if u in out and v not in out:
-                out.add(v)
-                changed = True
-    return out
-
-
-def _scc_ids(nodes, pairs):
-    """Map node -> strongly connected component id (tiny graphs only)."""
-    nodes = sorted(nodes)
+def _reach(nodes, edges):
+    """Map node -> nodes reachable from it along template ``edges``
+    (label, source, target, gain), itself included."""
     reach = {r: {r} for r in nodes}
     changed = True
     while changed:
         changed = False
-        for u, v in pairs:
+        for _, u, v, _ in edges:
             add = reach[v] - reach[u]
             if add:
                 reach[u] |= add
                 changed = True
+    return reach
+
+
+def _scc_ids(nodes, edges):
+    """Map node -> strongly connected component id (tiny graphs only)."""
+    nodes = sorted(nodes)
+    reach = _reach(nodes, edges)
     comp = {}
     reps = []
     for r in nodes:
@@ -1221,47 +1203,34 @@ def _find_cycle(eng):
 
 
 def _window_cycle(g):
-    """Recover a concrete cycle from a window whose graph failed topo sort."""
+    """Recover a concrete cycle from a window whose graph failed topo sort.
+
+    Depth-first search with an explicit stack, so a long path in the window
+    needs no recursion; ``out_adj`` is visited in order.
+    """
     w = g.window
-    n = len(w.vertices)
-    color = [0] * n
-    stack = []
-
-    def dfs(vi):
-        color[vi] = 1
-        for k, ti in g.out_adj[vi]:
-            if color[ti] == 0:
-                stack.append((k, ti))
-                got = dfs(ti)
-                if got is not None:
-                    return got
-                stack.pop()
-            elif color[ti] == 1:
-                return (k, ti)
-        color[vi] = 2
-        return None
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, n + 100))
-    try:
-        for vi in range(n):
-            if color[vi] == 0:
-                stack.clear()
-                got = dfs(vi)
-                if got is not None:
-                    k_close, target = got
-                    arrows = [w.arrows[k] for k, _ in stack]
-                    starts = [w.vertex_index(a.source) for a in arrows]
-                    if target in starts:
-                        pos = starts.index(target)
-                        cyc = arrows[pos:] + [w.arrows[k_close]]
-                    else:
-                        cyc = [w.arrows[k_close]]
+    color = [0] * len(w.vertices)
+    for root in range(len(w.vertices)):
+        if color[root]:
+            continue
+        color[root] = 1
+        # (vertex, its remaining out-arrows, arrow index that entered it)
+        frames = [(root, iter(g.out_adj[root]), None)]
+        while frames:
+            vi, edges, _ = frames[-1]
+            for k, ti in edges:
+                if color[ti] == 0:
+                    color[ti] = 1
+                    frames.append((ti, iter(g.out_adj[ti]), k))
+                    break
+                if color[ti] == 1:
+                    on_path = [f[0] for f in frames]
+                    tree = [f[2] for f in frames[on_path.index(ti) + 1 :]]
+                    cyc = [w.arrows[kk] for kk in tree + [k]]
                     return Path(cyc[0].source, tuple(cyc))
-    finally:
-        sys.setrecursionlimit(old)
+            else:
+                color[vi] = 2
+                frames.pop()
     return None
 
 

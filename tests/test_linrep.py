@@ -246,6 +246,17 @@ def test_rep_window_validation(ex1):
                   {"alpha@0": [[1], [2]]}, {})
 
 
+@pytest.mark.parametrize("dims, matrix", [
+    (1, []),                  # no rows where dim(target) is 1
+    (2, [[1, 0], [1]]),       # a short row
+])
+def test_rep_window_rejects_bad_matrix(ex1, dims, matrix):
+    w = instantiate_window(ex1, 2)
+    with pytest.raises(ValueError):
+        RepWindow(w, {ray("a", 0): dims, ray("a", 1): dims},
+                  {"alpha@0": matrix})
+
+
 def test_dump_rep(ex1):
     m = build_P(ex1, ray("a", 0), 3)
     d = dump_rep(m)

@@ -1,5 +1,7 @@
 """Symbolic region queries: cycles, counts, neighborhoods, tail classes."""
 
+import sys
+
 import pytest
 
 from fpquiver import regions
@@ -217,3 +219,29 @@ def test_class_equivalence(ex4):
 def test_stabilization_index_positive(corpus):
     for q in corpus.values():
         assert regions.stabilization_index(q) >= 1
+
+
+def test_window_cycle_search_needs_no_recursion(monkeypatch):
+    # the back arrow closes a 1,501-arrow cycle: a depth-first search down
+    # it is 1,500 calls deep, past the default recursion limit of 1,000
+    def refuse(limit):
+        raise AssertionError("library code changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    q = parse(
+        "quiver longcycle\nray a domain nat\n"
+        "family alpha: a[i] -> a[i+1] for i >= 0\n"
+        "arrow back: a[1500] -> a[0]\n"
+    )
+    wit = regions.oriented_cycle_witness(q)
+    assert wit is not None
+    assert wit.source == wit.target == ray("a", 0)
+    assert len(wit) == 1501 and wit.is_composable()
+
+
+def test_engine_cache_is_bounded():
+    for k in range(regions._MAX_ENGINES + 5):
+        engine_for(parse(f"quiver bounded{k}\nvertex v\n"))
+        assert len(regions._ENGINES) <= regions._MAX_ENGINES
+    regions._ENGINES.clear()
+    assert not regions._ENGINES
