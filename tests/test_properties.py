@@ -219,6 +219,50 @@ def test_index_set_shift(s, k):
         assert moved.contains(i + k) == s.contains(i)
 
 
+def strided_tails():
+    """(threshold, period, residues) with period 1-3 and residues nonempty."""
+    return st.integers(1, 3).flatmap(lambda p: st.tuples(
+        st.integers(-6, 6), st.just(p),
+        st.frozensets(st.integers(0, p - 1), min_size=1)))
+
+
+def strided_index_sets():
+    return st.builds(
+        lambda up, down, mid: IndexSet.make(up=up, down=down, mid=mid),
+        st.none() | strided_tails(), st.none() | strided_tails(),
+        st.lists(st.integers(-8, 8), max_size=4))
+
+
+def mirror(s):
+    """{-i : i in s}, built from the public fields."""
+    def flip(tail):
+        if tail is None:
+            return None
+        t, p, rs = tail
+        return (-t, p, frozenset(-r % p for r in rs))
+
+    return IndexSet.make(up=flip(s.down), down=flip(s.up),
+                         mid=[-i for i in s.mid])
+
+
+@settings(max_examples=100, deadline=None)
+@given(strided_index_sets(), strided_index_sets(), st.integers(-4, 4))
+def test_strided_index_set_algebra(s, t, k):
+    union, inter, diff = s.union(t), s.intersect(t), s.difference(t)
+    moved = s.shift(k)
+    for i in range(-40, 41):
+        assert union.contains(i) == (s.contains(i) or t.contains(i))
+        assert inter.contains(i) == (s.contains(i) and t.contains(i))
+        assert diff.contains(i) == (s.contains(i) and not t.contains(i))
+        assert moved.contains(i) == s.contains(i - k)
+        assert mirror(s).contains(i) == s.contains(-i)
+    ms, mt = mirror(s), mirror(t)
+    assert mirror(union) == ms.union(mt)
+    assert mirror(inter) == ms.intersect(mt)
+    assert mirror(diff) == ms.difference(mt)
+    assert mirror(moved) == ms.shift(-k)
+
+
 @settings(max_examples=25, deadline=None)
 @given(SEEDS)
 def test_window_counts_monotone(seed):

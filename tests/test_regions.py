@@ -1,12 +1,13 @@
 """Symbolic region queries: cycles, counts, neighborhoods, tail classes."""
 
 import sys
+from collections import deque
 
 import pytest
 
-from fpquiver import regions
+from fpquiver import cli, regions
 from fpquiver.patterns import Finite, Infinite
-from fpquiver.qdl import core, parse, ray
+from fpquiver.qdl import core, instantiate_window, parse, ray
 from fpquiver.regions import NotIntervalFinite, TailClass, engine_for
 
 
@@ -245,3 +246,53 @@ def test_engine_cache_is_bounded():
         assert len(regions._ENGINES) <= regions._MAX_ENGINES
     regions._ENGINES.clear()
     assert not regions._ENGINES
+
+
+# two int rays with stride-3 families pointing opposite ways, so successor
+# and predecessor sets each get one ascending and one descending tail whose
+# residue class is not its own mirror image
+STRIDE3 = (
+    "quiver s3\nray a domain int\nray b domain int\n"
+    "family down3: a[i+3] -> a[i] for all i\n"
+    "family up3: b[i] -> b[i+3] for all i\n"
+    "arrow x: b[1] -> a[1]\n"
+)
+
+
+def _window_reach(q, start, radius, inner, forward):
+    """Plain BFS over Window(radius), restricted to |index| <= inner."""
+    w = instantiate_window(q, radius)
+    seen = {start}
+    queue = deque(seen)
+    while queue:
+        v = queue.popleft()
+        step = w.arrows_from(v) if forward else w.arrows_into(v)
+        for a in step:
+            nxt = a.target if forward else a.source
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return {v for v in seen if v.kind == "core" or abs(v.index) <= inner}
+
+
+@pytest.mark.parametrize("kind, vertex", [
+    ("successors", ray("b", 1)),
+    ("successors", ray("a", 4)),
+    ("predecessors", ray("a", -5)),
+    ("predecessors", ray("b", 7)),
+])
+def test_strided_tails_in_both_directions(kind, vertex):
+    q = parse(STRIDE3)
+    sd = getattr(regions, kind)(q, vertex)
+    assert isinstance(sd.cardinality(q), Infinite)
+    want = _window_reach(q, vertex, 40, 20, forward=kind == "successors")
+    assert sd.in_window(q, 20) == want
+
+
+def test_strided_descending_tail_report(tmp_path, capsys):
+    path = tmp_path / "s3.quiver"
+    path.write_text(STRIDE3, encoding="utf-8")
+    assert cli.main(["query", str(path), "succ", "r:b:1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ("result: infinite (ray a, i <= 1 with i mod 3 in {1}; "
+            "ray b, i >= 1 with i mod 3 in {1})") in lines
