@@ -145,12 +145,8 @@ def _path_basis(window, a, reverse=False):
             out.setdefault(w, []).append(p)
             stack.append((w, new))
     for v in out:
-        out[v].sort(key=_path_key)
+        out[v].sort(key=Path.sort_key)
     return out
-
-
-def _path_key(p):
-    return (len(p.arrows), tuple(ar.canonical_id() for ar in p.arrows))
 
 
 def _id_index(paths):
@@ -158,7 +154,7 @@ def _id_index(paths):
 
     The paths at one vertex share both endpoints, so the tuple names one.
     """
-    ids = {v: [_path_key(p)[1] for p in ps] for v, ps in paths.items()}
+    ids = {v: [p.sort_key()[1] for p in ps] for v, ps in paths.items()}
     index = {v: {t: k for k, t in enumerate(ts)} for v, ts in ids.items()}
     return ids, index
 
@@ -308,7 +304,7 @@ def build_Y(q, cls, n):
             ):
                 s += 1
             prefix = Path(v, p.arrows[: len(p.arrows) - s])
-            keyed.append(((m_steps - s, _path_key(prefix)), p, prefix))
+            keyed.append(((m_steps - s, prefix.sort_key()), p, prefix))
         keyed.sort(key=lambda t: t[0])
         dims[v] = want
         labels[v] = tuple(
@@ -660,9 +656,7 @@ def eventual_tail_bijectivity(i, cls):
         if f.lower is not None and i_fam < f.lower:
             break
         prev = f.source.resolve(i_fam)
-        if not q.has_vertex(prev) or (
-            q.domain(prev.name) == "nat" and prev.index < 0
-        ):
+        if not q.has_vertex(prev):
             break
         if abs(prev.index) > window.radius + cushion:
             break
@@ -679,14 +673,8 @@ def eventual_tail_bijectivity(i, cls):
             cur = []
     if cur:
         runs.append(cur)
-    if not runs:
-        raise PreconditionError(
-            f"window radius {window.radius} too small for class "
-            f"{cls.class_id()}; need radius >= "
-            f"{abs(cls.start.index) + 2 * cls.stride + 2}"
-        )
-    run = runs[-1] if cls.direction == "+" else runs[0]
-    if run[-1] - run[0] < 2:
+    run = (runs[-1] if cls.direction == "+" else runs[0]) if runs else []
+    if not run or run[-1] - run[0] < 2:
         raise PreconditionError(
             f"window radius {window.radius} too small for class "
             f"{cls.class_id()}; need radius >= "

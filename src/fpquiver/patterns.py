@@ -63,6 +63,22 @@ def _pattern_elem_at_most(p, rs, bound):
     return i
 
 
+def _flip(tail):
+    """The mirror image {-i} of a tail (t, p, R): an up tail becomes a
+    down tail and back; None stays None."""
+    if tail is None:
+        return None
+    t, p, rs = tail
+    return (-t, p, frozenset(-r % p for r in rs))
+
+
+def _shift_tail(tail, k):
+    if tail is None:
+        return None
+    t, p, rs = tail
+    return (t + k, p, frozenset((r + k) % p for r in rs))
+
+
 def _canonicalize(up, down, mid):
     mid = frozenset(mid)
     if up is not None:
@@ -221,14 +237,11 @@ class IndexSet:
     # --- algebra -----------------------------------------------------------
 
     def shift(self, k):
-        up = down = None
-        if self.up is not None:
-            t, p, rs = self.up
-            up = (t + k, p, frozenset((r + k) % p for r in rs))
-        if self.down is not None:
-            t, p, rs = self.down
-            down = (t + k, p, frozenset((r + k) % p for r in rs))
-        return IndexSet.make(up=up, down=down, mid=(i + k for i in self.mid))
+        return IndexSet.make(
+            up=_shift_tail(self.up, k),
+            down=_shift_tail(self.down, k),
+            mid=(i + k for i in self.mid),
+        )
 
     def union(self, other):
         spill = set(self.mid) | set(other.mid)
@@ -252,45 +265,16 @@ class IndexSet:
     def difference(self, other):
         if self.is_empty:
             return IndexSet.empty()
-        up = down = None
-        if self.up is not None:
-            ta, pa, ra = self.up
-            if other.up is None:
-                p2, rs2 = pa, ra
-            else:
-                tb, pb, rb = other.up
-                p2 = math.lcm(pa, pb)
-                rs2 = frozenset(
-                    r for r in range(p2) if r % pa in ra and r % pb not in rb
-                )
-            if rs2:
-                floor = ta
-                if other.up is not None:
-                    floor = max(floor, other.up[0])
-                if other.mid:
-                    floor = max(floor, max(other.mid) + 1)
-                if other.down is not None:
-                    floor = max(floor, other.down[0] + 1)
-                up = (_pattern_elem_at_least(p2, rs2, floor), p2, rs2)
-        if self.down is not None:
-            ta, pa, ra = self.down
-            if other.down is None:
-                p2, rs2 = pa, ra
-            else:
-                tb, pb, rb = other.down
-                p2 = math.lcm(pa, pb)
-                rs2 = frozenset(
-                    r for r in range(p2) if r % pa in ra and r % pb not in rb
-                )
-            if rs2:
-                ceil = ta
-                if other.down is not None:
-                    ceil = min(ceil, other.down[0])
-                if other.mid:
-                    ceil = min(ceil, min(other.mid) - 1)
-                if other.up is not None:
-                    ceil = min(ceil, other.up[0] - 1)
-                down = (_pattern_elem_at_most(p2, rs2, ceil), p2, rs2)
+        up = _tail_difference(self.up, other.up, other.mid, other.down)
+        # the down tail is the up tail of the mirror images
+        down = _flip(
+            _tail_difference(
+                _flip(self.down),
+                _flip(other.down),
+                [-i for i in other.mid],
+                _flip(other.up),
+            )
+        )
         lo, hi = _residual_band(self, other, up, down)
         mid = {
             i
@@ -349,22 +333,20 @@ class IndexSet:
             return "{" + ", ".join(str(i) for i in self.elements()) + "}"
         pieces = []
         if self.down is not None:
-            t, p, rs = self.down
-            if p == 1:
-                pieces.append(f"i <= {t}")
-            else:
-                rtxt = ",".join(str(r) for r in sorted(rs))
-                pieces.append(f"i <= {t} with i mod {p} in {{{rtxt}}}")
+            pieces.append(_tail_text(self.down, "<="))
         if self.mid:
             pieces.append("{" + ", ".join(str(i) for i in sorted(self.mid)) + "}")
         if self.up is not None:
-            t, p, rs = self.up
-            if p == 1:
-                pieces.append(f"i >= {t}")
-            else:
-                rtxt = ",".join(str(r) for r in sorted(rs))
-                pieces.append(f"i >= {t} with i mod {p} in {{{rtxt}}}")
+            pieces.append(_tail_text(self.up, ">="))
         return " | ".join(pieces)
+
+
+def _tail_text(tail, relation):
+    t, p, rs = tail
+    if p == 1:
+        return f"i {relation} {t}"
+    rtxt = ",".join(str(r) for r in sorted(rs))
+    return f"i {relation} {t} with i mod {p} in {{{rtxt}}}"
 
 
 def _tail_union(a, b, spill, upward):
@@ -398,6 +380,29 @@ def _tail_intersect(a, b, upward):
         return None
     t = max(ta, tb) if upward else min(ta, tb)
     return (t, p, rs)
+
+
+def _tail_difference(a, b_up, b_mid, b_down):
+    """The up tail of A minus B, from A's up tail ``a`` and B's parts."""
+    if a is None:
+        return None
+    ta, pa, ra = a
+    if b_up is None:
+        p, rs = pa, ra
+    else:
+        _, pb, rb = b_up
+        p = math.lcm(pa, pb)
+        rs = frozenset(r for r in range(p) if r % pa in ra and r % pb not in rb)
+    if not rs:
+        return None
+    floor = ta
+    if b_up is not None:
+        floor = max(floor, b_up[0])
+    if b_mid:
+        floor = max(floor, max(b_mid) + 1)
+    if b_down is not None:
+        floor = max(floor, b_down[0] + 1)
+    return (_pattern_elem_at_least(p, rs, floor), p, rs)
 
 
 def _residual_band(a, b, up, down):
@@ -542,15 +547,11 @@ class SupportDescription:
             iset = self.ray_part(name)
             if iset.up is not None:
                 t, p, rs = iset.up
-                start = t
-                while start % p not in rs:
-                    start += 1
+                start = _pattern_elem_at_least(p, rs, t)
                 return Infinite(TailWitness(name, "+", start, p))
             if iset.down is not None:
                 t, p, rs = iset.down
-                start = t
-                while start % p not in rs:
-                    start -= 1
+                start = _pattern_elem_at_most(p, rs, t)
                 return Infinite(TailWitness(name, "-", start, p))
         return Finite(self.count())
 

@@ -366,9 +366,13 @@ def parse_vertex_id(q, text):
         vref = core(parts[1])
     elif len(parts) == 3 and parts[0] == "r":
         try:
-            vref = ray(parts[1], int(parts[2]))
+            index = int(parts[2])
         except ValueError:
-            pass
+            index = None
+        # only the canonical spelling: no sign, padding, underscores or
+        # non-ASCII digits that int() would also accept
+        if index is not None and str(index) == parts[2]:
+            vref = ray(parts[1], index)
     if vref is None:
         raise UnknownIdError(f"malformed vertex id {text!r}")
     if not q.has_vertex(vref):
@@ -394,7 +398,7 @@ class _Parser:
         self.text = text
         self.name = None
         self.cores = []
-        self.rays = []
+        self.rays = {}  # name -> domain, in declaration order
         self.arrows = []
         self.families = []
         self.seen_names = {}
@@ -429,7 +433,7 @@ class _Parser:
         return QuiverDescription(
             name=self.name,
             core_vertices=tuple(self.cores),
-            rays=tuple(self.rays),
+            rays=tuple(self.rays.items()),
             arrows=tuple(self.arrows),
             families=tuple(self.families),
         )
@@ -486,7 +490,7 @@ class _Parser:
             )
         name = m.group(1)
         self.declare(name, "a ray", lineno)
-        self.rays.append((name, m.group(2)))
+        self.rays[name] = m.group(2)
 
     def split_label(self, rest, lineno):
         """Peel an optional '<label> :' prefix off an arrow/family body."""
@@ -543,19 +547,13 @@ class _Parser:
         self.err(UndeclaredIdentifierError, f"undeclared identifier '{name}'", lineno)
 
     def check_const_domain(self, ep, lineno):
-        if ep.kind == "ray-const" and self.ray_domain(ep.name) == DOMAIN_NAT:
+        if ep.kind == "ray-const" and self.rays[ep.name] == DOMAIN_NAT:
             if ep.shift < 0:
                 self.err(
                     NatDomainError,
                     f"index {ep.shift} is negative on nat-domain ray '{ep.name}'",
                     lineno,
                 )
-
-    def ray_domain(self, name):
-        for n, d in self.rays:
-            if n == name:
-                return d
-        raise KeyError(name)
 
     def arrow_stmt(self, lineno, rest):
         label, body = self.split_label(rest, lineno)
@@ -601,7 +599,7 @@ class _Parser:
         if m.group("all"):
             lower = None
             for ep in (src, tgt):
-                if ep.is_var and self.ray_domain(ep.name) == DOMAIN_NAT:
+                if ep.is_var and self.rays[ep.name] == DOMAIN_NAT:
                     self.err(
                         NatDomainError,
                         f"'for all i' would give negative indices on nat-domain "
@@ -612,7 +610,7 @@ class _Parser:
             lower = int(m.group("low"))
             # clamp the lower bound so nat-domain indices never go negative
             for ep in (src, tgt):
-                if ep.is_var and self.ray_domain(ep.name) == DOMAIN_NAT:
+                if ep.is_var and self.rays[ep.name] == DOMAIN_NAT:
                     lower = max(lower, -ep.shift)
         if label is None:
             label = f"family#{self.n_family_stmts}"

@@ -33,6 +33,7 @@ from .patterns import (
     InternalConsistencyError,
     SupportDescription,
     TailWitness,
+    _flip,
 )
 from .qdl import ArrowRef, DOMAIN_INT, DOMAIN_NAT, Path, VertexRef, instantiate_window, ray
 
@@ -158,6 +159,38 @@ class RegionEngine:
         self.base_radius = self.nstar + self.margin
         self.c_max = max((abs(c) for c in q.constants()), default=0)
         self._families = {f.label: f for f in q.families}
+        # families from a templated ray index to one, and families with a
+        # fixed source and a templated target
+        self.translation_families = [
+            f for f in q.families if f.source.is_var and f.target.is_var
+        ]
+        self.fan_families = [
+            f for f in q.families if not f.source.is_var and f.target.is_var
+        ]
+        # the translation template as edges (label, src_ray, tgt_ray, gain),
+        # and its unguarded part
+        self.full_template = [
+            (f.label, f.source.name, f.target.name, f.target.shift - f.source.shift)
+            for f in self.translation_families
+        ]
+        self.u_template = [
+            e
+            for e, f in zip(self.full_template, self.translation_families)
+            if f.lower is None
+        ]
+        names = q.ray_names()
+        self.full_reach = _reach(names, self.full_template)
+        self.u_reach = _reach(names, self.u_template)
+        # rays on a negative-gain unguarded cycle, and rays reaching one
+        self.neg_cycle_rays = {
+            u
+            for gain, edges in _simple_cycles(names, self.u_template)
+            if gain < 0
+            for _, u, _v, _g in edges
+        }
+        self.descent_rays = {
+            r for r in names if self.u_reach[r] & self.neg_cycle_rays
+        }
         self._graphs = {}
         self._succ_cache = {}
         self._op_engine = None
@@ -183,12 +216,13 @@ class RegionEngine:
         out_adj = [[] for _ in range(n)]
         in_adj = [[] for _ in range(n)]
         trans_out = [[] for _ in range(n)]
+        translation = {f.label for f in self.translation_families}
         for k, a in enumerate(w.arrows):
             si = w.vertex_index(a.source)
             ti = w.vertex_index(a.target)
             out_adj[si].append((k, ti))
             in_adj[ti].append((k, si))
-            if self.is_translation_arrow(a):
+            if a.label in translation:
                 trans_out[si].append((k, ti))
         indeg = [0] * n
         for si in range(n):
@@ -208,23 +242,6 @@ class RegionEngine:
         g = _Graph(w, out_adj, in_adj, topo, trans_out)
         self._graphs[radius] = g
         return g
-
-    def is_translation_arrow(self, aref):
-        if aref.index is None:
-            return False
-        f = self._families[aref.label]
-        return f.source.is_var and f.target.is_var
-
-    def translation_families(self):
-        return [
-            f for f in self.q.families if f.source.is_var and f.target.is_var
-        ]
-
-    def fan_families(self):
-        """Families with a fixed source and a templated target."""
-        return [
-            f for f in self.q.families if not f.source.is_var and f.target.is_var
-        ]
 
     # --- oriented cycles ---------------------------------------------------
 
@@ -277,39 +294,6 @@ class RegionEngine:
         g.upset = upset
         return upset
 
-    def u_template(self):
-        """Unguarded translation families as (label, src_ray, tgt_ray, gain)."""
-        return [
-            (f.label, f.source.name, f.target.name, f.target.shift - f.source.shift)
-            for f in self.translation_families()
-            if f.lower is None
-        ]
-
-    def full_template(self):
-        return [
-            (f.label, f.source.name, f.target.name, f.target.shift - f.source.shift)
-            for f in self.translation_families()
-        ]
-
-    def u_reach(self):
-        """Reachability closure of the unguarded template graph."""
-        return _reach(self.q.ray_names(), self.u_template())
-
-    def neg_cycle_rays(self):
-        """Rays lying on a negative-gain cycle of unguarded translations."""
-        out = set()
-        for gain, edges in _simple_cycles(self.q.ray_names(), self.u_template()):
-            if gain < 0:
-                for _, u, _v, _g in edges:
-                    out.add(u)
-        return out
-
-    def descent_rays(self):
-        """Rays from which an unguarded negative cycle is reachable."""
-        reach = self.u_reach()
-        neg = self.neg_cycle_rays()
-        return {r for r in self.q.ray_names() if reach[r] & neg}
-
     # --- symbolic reach sets -------------------------------------------------
 
     def _succ_support(self, seeds, radius, seed_tails=None):
@@ -321,21 +305,8 @@ class RegionEngine:
         """
         g = self.graph(radius)
         w = g.window
-        n = len(w.vertices)
-        seen = [False] * n
-        queue = deque()
-        for s in seeds:
-            vi = w.vertex_index(s)
-            if not seen[vi]:
-                seen[vi] = True
-                queue.append(vi)
-        while queue:
-            vi = queue.popleft()
-            for _, ti in g.out_adj[vi]:
-                if not seen[ti]:
-                    seen[ti] = True
-                    queue.append(ti)
-        reached = [w.vertices[vi] for vi in range(n) if seen[vi]]
+        seen = _reached(g, seeds)
+        reached = [v for v, hit in zip(w.vertices, seen) if hit]
         cores = {v.name for v in reached if v.kind == "core"}
         ray_data = {name: set() for name in self.q.ray_names()}
         for v in reached:
@@ -343,7 +314,7 @@ class RegionEngine:
                 ray_data[v.name].add(v.index)
 
         up_seeds, down_seeds = set(), set()
-        for f in self.fan_families():
+        for f in self.fan_families:
             src = f.source.resolve()
             if w.contains(src) and seen[w.vertex_index(src)]:
                 up_seeds.add(f.target.name)
@@ -360,15 +331,12 @@ class RegionEngine:
                 if iset.down is not None:
                     down_seeds.add(name)
         occupied = {name for name, data in ray_data.items() if data}
-        u_reach = self.u_reach()
-        neg = self.neg_cycle_rays()
         for r0 in occupied:
-            for c in u_reach[r0] & neg:
-                down_seeds |= u_reach[c]
+            for c in self.u_reach[r0] & self.neg_cycle_rays:
+                down_seeds |= self.u_reach[c]
 
-        full_reach = _reach(self.q.ray_names(), self.full_template())
-        up_flags = set().union(*(full_reach[r] for r in up_seeds))
-        down_flags = set().union(*(u_reach[r] for r in down_seeds))
+        up_flags = set().union(*(self.full_reach[r] for r in up_seeds))
+        down_flags = set().union(*(self.u_reach[r] for r in down_seeds))
 
         parts = {}
         for name, dom in self.q.rays:
@@ -386,102 +354,75 @@ class RegionEngine:
         return SupportDescription.build(cores, parts)
 
     def _fit_ray(self, name, data, dom, radius, up_flag, down_flag):
-        band = 2 * self.bound + 4
         top = radius - self.setback
-        bot = -top
         lo_dom = 0 if dom == DOMAIN_NAT else -radius
-        up = down = None
-        if up_flag:
-            lo_band = top - band
-            period = None
-            for cand in range(1, self.bound + 2):
-                if all(
-                    (i in data) == ((i + cand) in data)
-                    for i in range(lo_band, top - cand + 1)
-                ):
-                    period = cand
-                    break
-            if period is None:
-                raise InternalConsistencyError(
-                    f"no period <= {self.bound + 1} fits the reach band on "
-                    f"ray {name}"
-                )
-            residues = frozenset(
-                i % period for i in range(lo_band, top + 1) if i in data
-            )
-            if not residues:
-                raise InternalConsistencyError(
-                    f"ray {name} flagged as unbounded above but the window "
-                    "band is empty"
-                )
-            for i in data:
-                if i > top and i % period not in residues:
-                    raise InternalConsistencyError(
-                        f"reach element {name}[{i}] above the fit zone does "
-                        "not match the fitted tail"
-                    )
-            t = lo_band
-            while t - 1 >= lo_dom and (
-                ((t - 1) in data) == (((t - 1) % period) in residues)
-            ):
-                t -= 1
-            up = (t, period, residues)
-        elif data and max(data) > top:
+        up = self._fit_tail(name, data, top, lo_dom, up_flag, descending=False)
+        if down_flag and dom == DOMAIN_NAT:
             raise InternalConsistencyError(
-                f"reach on ray {name} touches the window top without an "
-                "infinity certificate"
+                f"downward flag on nat-domain ray {name}"
             )
-        if down_flag:
-            if dom == DOMAIN_NAT:
-                raise InternalConsistencyError(
-                    f"downward flag on nat-domain ray {name}"
-                )
-            hi_band = bot + band
-            period = None
-            for cand in range(1, self.bound + 2):
-                if all(
-                    (i in data) == ((i - cand) in data)
-                    for i in range(bot + cand, hi_band + 1)
-                ):
-                    period = cand
-                    break
-            if period is None:
-                raise InternalConsistencyError(
-                    f"no period <= {self.bound + 1} fits the reach band on "
-                    f"ray {name} (descending)"
-                )
-            residues = frozenset(
-                i % period for i in range(bot, hi_band + 1) if i in data
+        # the down tail is the up tail of the mirror image {-i : i in data},
+        # grown no further than just below the up tail
+        floor = 1 - up[0] if up is not None else -top
+        down = _flip(
+            self._fit_tail(
+                name, {-i for i in data}, top, floor, down_flag, descending=True
             )
-            if not residues:
-                raise InternalConsistencyError(
-                    f"ray {name} flagged as unbounded below but the window "
-                    "band is empty"
-                )
-            for i in data:
-                if i < bot and i % period not in residues:
-                    raise InternalConsistencyError(
-                        f"reach element {name}[{i}] below the fit zone does "
-                        "not match the fitted tail"
-                    )
-            t = hi_band
-            ceil_limit = up[0] - 1 if up is not None else top
-            while t + 1 <= ceil_limit and (
-                ((t + 1) in data) == (((t + 1) % period) in residues)
-            ):
-                t += 1
-            down = (t, period, residues)
-        elif dom == DOMAIN_INT and data and min(data) < bot:
-            raise InternalConsistencyError(
-                f"reach on ray {name} touches the window bottom without an "
-                "infinity certificate"
-            )
+        )
         mid = {
             i
             for i in data
             if (up is None or i < up[0]) and (down is None or i > down[0])
         }
         return IndexSet.make(up=up, down=down, mid=mid)
+
+    def _fit_tail(self, name, data, top, floor, flagged, descending):
+        """The up tail (t, p, R) of ``data``, fitted on the band below
+        ``top`` and grown down to ``floor``; None when the ray is not
+        ``flagged`` unbounded.  A ``descending`` call gets mirrored data and
+        only words its messages for the original direction."""
+        side, edge = ("below", "bottom") if descending else ("above", "top")
+        if not flagged:
+            if data and max(data) > top:
+                raise InternalConsistencyError(
+                    f"reach on ray {name} touches the window {edge} without an "
+                    "infinity certificate"
+                )
+            return None
+        lo_band = top - 2 * self.bound - 4
+        period = None
+        for cand in range(1, self.bound + 2):
+            if all(
+                (i in data) == ((i + cand) in data)
+                for i in range(lo_band, top - cand + 1)
+            ):
+                period = cand
+                break
+        if period is None:
+            raise InternalConsistencyError(
+                f"no period <= {self.bound + 1} fits the reach band on "
+                f"ray {name}" + (" (descending)" if descending else "")
+            )
+        residues = frozenset(
+            i % period for i in range(lo_band, top + 1) if i in data
+        )
+        if not residues:
+            raise InternalConsistencyError(
+                f"ray {name} flagged as unbounded {side} but the window "
+                "band is empty"
+            )
+        for i in data:
+            if i > top and i % period not in residues:
+                raise InternalConsistencyError(
+                    f"reach element {name}[{-i if descending else i}] {side} "
+                    "the fit zone does not match the fitted tail"
+                )
+        t = lo_band
+        while t - 1 >= floor and (
+            ((t - 1) in data) == (((t - 1) % period) in residues)
+        ):
+            t -= 1
+        return (t, period, residues)
 
     # --- public reach queries -------------------------------------------------
 
@@ -612,9 +553,8 @@ class RegionEngine:
     def _pump_configs(self, radius):
         """Configs admitting a right-infinite continuation by themselves."""
         pumps = set(self.upset(radius))
-        descent = self.descent_rays()
         for v in self.window(radius).vertices:
-            if v.kind == "ray" and v.name in descent:
+            if v.kind == "ray" and v.name in self.descent_rays:
                 pumps.add(v)
         return pumps
 
@@ -622,19 +562,9 @@ class RegionEngine:
         self.ensure_acyclic()
         radius = self._query_radius(vref)
         g = self.graph(radius)
-        w = g.window
         pumps = self._pump_configs(radius)
-        seen = {w.vertex_index(vref)}
-        queue = deque(seen)
-        while queue:
-            vi = queue.popleft()
-            if w.vertices[vi] in pumps:
-                return True
-            for _, ti in g.out_adj[vi]:
-                if ti not in seen:
-                    seen.add(ti)
-                    queue.append(ti)
-        return False
+        seen = _reached(g, [vref])
+        return any(hit and v in pumps for v, hit in zip(g.window.vertices, seen))
 
     def has_left_infinite_path(self, vref):
         return self.op().has_right_infinite_path(vref)
@@ -644,9 +574,7 @@ class RegionEngine:
     def _infinity_sources(self):
         """Candidate configs whose successor set may be infinite: fan
         sources plus a stride-representative band of pump configs."""
-        out = []
-        for f in self.fan_families():
-            out.append(f.source.resolve())
+        out = [f.source.resolve() for f in self.fan_families]
         radius = self.base_radius
         upset = self.upset(radius)
         gz = self.c_max + self.bound + 2
@@ -658,18 +586,12 @@ class RegionEngine:
                 for i in range(-gz - 2 * self.bound, -gz + 1):
                     if ray(name, i) in upset:
                         out.append(ray(name, i))
-        for name in sorted(self.descent_rays()):
+        for name in sorted(self.descent_rays):
             for i in range(gz, gz + 2 * self.bound + 1):
                 out.append(ray(name, i))
             for i in range(-gz - 2 * self.bound, -gz + 1):
                 out.append(ray(name, i))
-        seen = set()
-        uniq = []
-        for v in out:
-            if v not in seen:
-                seen.add(v)
-                uniq.append(v)
-        return uniq
+        return list(dict.fromkeys(out))
 
     def interval_finite_witness(self):
         """(True, None, None) or (False, (a, b), evidence)."""
@@ -720,54 +642,46 @@ class RegionEngine:
             if not data:
                 continue
             iset = IndexSet.empty()
-            if radius in data:
-                t = radius
-                while (t - 1) in data:
-                    t -= 1
+            t = self._pump_threshold(name, data, radius, "top")
+            if t is not None:
                 iset = iset.union(IndexSet.up_from(t))
-            elif max(data) > radius - self.bound - 2:
-                raise InternalConsistencyError(
-                    f"ragged pump-set top on ray {name}"
-                )
             if dom == DOMAIN_INT:
-                if -radius in data:
-                    t = -radius
-                    while (t + 1) in data:
-                        t += 1
-                    iset = iset.union(IndexSet.down_from(t))
-                elif min(data) < -radius + self.bound + 2:
-                    raise InternalConsistencyError(
-                        f"ragged pump-set bottom on ray {name}"
-                    )
+                # the bottom is the top of the mirror image
+                t = self._pump_threshold(
+                    name, {-i for i in data}, radius, "bottom"
+                )
+                if t is not None:
+                    iset = iset.union(IndexSet.down_from(-t))
             if not iset.is_empty:
                 out[name] = iset
         return out
+
+    def _pump_threshold(self, name, data, radius, edge):
+        """Start of the run of ``data`` that ends at the window edge
+        ``radius``, or None when the edge is not in ``data``."""
+        if radius not in data:
+            if max(data) > radius - self.bound - 2:
+                raise InternalConsistencyError(
+                    f"ragged pump-set {edge} on ray {name}"
+                )
+            return None
+        t = radius
+        while (t - 1) in data:
+            t -= 1
+        return t
 
     def _trigger_bundle(self):
         """(seeds, seed_tails) covering every config whose successor set is
         infinite on its own: fan sources, pump configs, descent rays."""
         radius = self.base_radius
         w = self.window(radius)
-        seeds = set()
-        tails = {}
-
-        def add_tail(name, iset):
-            prev = tails.get(name, IndexSet.empty())
-            tails[name] = prev.union(iset)
-
-        for f in self.fan_families():
-            src = f.source.resolve()
-            if w.contains(src):
-                seeds.add(src)
-        seeds |= self.upset(radius)
-        for name, iset in self._upset_tails(radius).items():
-            add_tail(name, iset)
-        descent = self.descent_rays()
-        for v in w.vertices:
-            if v.kind == "ray" and v.name in descent:
-                seeds.add(v)
-        for name in descent:
-            add_tail(name, IndexSet.domain_set(self.q.domain(name)))
+        seeds = {f.source.resolve() for f in self.fan_families}
+        seeds = {s for s in seeds if w.contains(s)} | self._pump_configs(radius)
+        tails = self._upset_tails(radius)
+        for name in self.descent_rays:
+            tails[name] = tails.get(name, IndexSet.empty()).union(
+                IndexSet.domain_set(self.q.domain(name))
+            )
         return seeds, tails
 
     def infinite_pred_set(self):
@@ -785,7 +699,7 @@ class RegionEngine:
     def fan_successor_set(self):
         """All vertices reachable from some fan family source."""
         self.ensure_acyclic()
-        seeds = [f.source.resolve() for f in self.fan_families()]
+        seeds = [f.source.resolve() for f in self.fan_families]
         seeds = [s for s in seeds if self.window(self.base_radius).contains(s)]
         if not seeds:
             return SupportDescription.build()
@@ -804,7 +718,7 @@ class RegionEngine:
         self.ensure_acyclic()
         classes = []
         reports = []
-        for regime, edges in (("+", self.full_template()), ("-", self.u_template())):
+        for regime, edges in (("+", self.full_template), ("-", self.u_template)):
             want_positive = regime == "+"
             cycles = [
                 (gain, cyc)
@@ -884,13 +798,10 @@ class RegionEngine:
         n = 4 * (len(c1.cycle) + len(c2.cycle) + 2) * max(c1.stride, c2.stride, 1)
         s1 = self.spell_class(c1, 2 * n)
         s2 = self.spell_class(c2, 2 * n)
-        tail1 = s1[n:]
-        for off in range(n):
-            if s2[off : off + len(tail1) // 2] == tail1[: len(tail1) // 2]:
-                return True
-        tail2 = s2[n:]
-        for off in range(n):
-            if s1[off : off + len(tail2) // 2] == tail2[: len(tail2) // 2]:
+        # does the first half of one tail occur early in the other spelling?
+        for a, b in ((s1, s2), (s2, s1)):
+            head = a[n:][: (len(a) - n) // 2]
+            if any(b[off : off + len(head)] == head for off in range(n)):
                 return True
         return False
 
@@ -1092,6 +1003,25 @@ class RegionEngine:
 # helpers
 
 
+def _reached(g, seeds):
+    """Per window vertex, whether a path in ``g`` leads to it from ``seeds``."""
+    w = g.window
+    seen = [False] * len(w.vertices)
+    queue = deque()
+    for s in seeds:
+        vi = w.vertex_index(s)
+        if not seen[vi]:
+            seen[vi] = True
+            queue.append(vi)
+    while queue:
+        vi = queue.popleft()
+        for _, ti in g.out_adj[vi]:
+            if not seen[ti]:
+                seen[ti] = True
+                queue.append(ti)
+    return seen
+
+
 def _reach(nodes, edges):
     """Map node -> nodes reachable from it along template ``edges``
     (label, source, target, gain), itself included."""
@@ -1153,7 +1083,7 @@ def _find_cycle(eng):
         return _window_cycle(g)
     # anchored cycles would appear in the window graph, which is acyclic
     # here, so only zero-gain translation walks remain
-    edges = eng.translation_families()
+    edges = eng.translation_families
     if not edges:
         return None
     e_t = len(edges)

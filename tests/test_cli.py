@@ -100,6 +100,15 @@ def test_query_unknown_vertex_exit_4(capsys):
     assert out.startswith("unknown id:")
 
 
+@pytest.mark.parametrize("text", [
+    "r:a:1_0", "r:a:+2 ", "r:a:01", "r:a:-0", "r:a:\u0663",
+])
+def test_query_non_canonical_vertex_id_exit_4(capsys, text):
+    code, out = run(capsys, "query", fx("ex1"), "pred", text)
+    assert code == 4
+    assert out == f"unknown id: malformed vertex id {text!r}\n"
+
+
 def test_query_unknown_class_exit_4(capsys):
     code, out = run(capsys, "query", fx("ex5"), "supp", "(q,-)")
     assert code == 4

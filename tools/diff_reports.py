@@ -1,0 +1,140 @@
+"""Compare this tree's benchmark outputs with those of another checkout.
+
+Every seed-1 and seed-2 ``catalog-cold`` request runs through
+``fpquiver.cli.main`` in-process, with the engine cache cleared before each
+request; every distinct seed-1 and seed-2 ``reps`` build is written out with
+``dump_rep`` followed by its socle and radical dimensions.  Each tree runs
+in its own subprocess with ``PYTHONPATH=<tree>/src``.  The inputs come from
+this tree's ``perfbench/gen.py`` and ``checks.build_rep``, imported without
+writing bytecode, so both trees see the same requests.
+
+Run from the repository root, with a checkout of the commit to compare
+against (``git worktree add``, or ``git archive`` unpacked elsewhere):
+
+    python3 tools/diff_reports.py PARENT_DIR
+
+Prints each request whose stdout or exit code differs and exits 1 if any
+does, 0 otherwise.  A run takes about a minute on two cores.
+"""
+
+import contextlib
+import difflib
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+sys.dont_write_bytecode = True
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import checks  # noqa: E402
+import gen  # noqa: E402
+
+SEEDS = (1, 2)
+CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
+DIFF_LINES = 20
+
+
+def requests(folder):
+    """The request list: catalog argvs (description files written under
+    ``folder``) and the distinct reps builds, each with a unique label."""
+    catalog, reps, builds = [], [], set()
+    for seed in SEEDS:
+        for block in gen.catalog_blocks(seed, CATALOG_BLOCKS):
+            for name, text, tail in block:
+                path = pathlib.Path(folder) / f"catalog-{seed}-{name}.quiver"
+                path.write_text(text, encoding="utf-8")
+                catalog.append(
+                    (f"catalog-cold {name}", [tail[0], str(path)] + tail[1:]))
+        for name, text, build, where, n, _op in gen.reps_pass(seed):
+            if (text, build, where, n) not in builds:
+                builds.add((text, build, where, n))
+                reps.append((f"reps {name}", text, build, where, n))
+    return {"catalog": catalog, "reps": reps}
+
+
+def collect(tree, spec_path, out_path):
+    """Child side: run every request on the fpquiver of ``tree``."""
+    import fpquiver.cli  # noqa: F401  (the package does not import its CLI)
+    from fpquiver import regions
+
+    fp = sys.modules["fpquiver"]
+    src = pathlib.Path(tree).resolve() / "src"
+    if pathlib.Path(fp.__file__).resolve().parent.parent != src:
+        raise SystemExit(f"imported {fp.__file__}, not the package in {src}")
+    spec = json.loads(pathlib.Path(spec_path).read_text(encoding="utf-8"))
+    out = {}
+    for label, argv in spec["catalog"]:
+        regions._ENGINES.clear()
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = fp.cli.main(argv)
+        out[label] = [code, buf.getvalue()]
+    for label, text, build, where, n in spec["reps"]:
+        regions._ENGINES.clear()
+        q = fp.parse(text)
+        try:
+            m, _ = checks.build_rep(
+                fp, q, build, tuple(where) if where else None, n)
+            dims = {"socle": checks.ids(fp.socle(m).dims_dict()),
+                    "radical": checks.ids(fp.radical(m).dims_dict())}
+            out[label] = [0, fp.dump_rep(m) + json.dumps(dims, sort_keys=True)]
+        except Exception as exc:  # a failed build is an output to compare
+            out[label] = [1, f"{type(exc).__name__}: {exc}"]
+    pathlib.Path(out_path).write_text(json.dumps(out), encoding="utf-8")
+
+
+def run_trees(trees, folder):
+    """Outputs of every request on each tree, both trees run at once."""
+    spec = pathlib.Path(folder) / "requests.json"
+    spec.write_text(json.dumps(requests(folder)), encoding="utf-8")
+    procs = []
+    for k, tree in enumerate(trees):
+        out = pathlib.Path(folder) / f"out-{k}.json"
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tree) / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, __file__, "--collect", str(tree), str(spec),
+                str(out)]
+        procs.append((subprocess.Popen(argv, env=env), out))
+    results = []
+    for proc, out in procs:
+        if proc.wait() != 0:
+            raise SystemExit(f"collecting outputs failed: {proc.args}")
+        results.append(json.loads(out.read_text(encoding="utf-8")))
+    return results
+
+
+def main(argv):
+    if len(argv) == 5 and argv[1] == "--collect":
+        collect(*argv[2:])
+        return 0
+    if len(argv) != 2 or not (pathlib.Path(argv[1]) / "src").is_dir():
+        print(__doc__.strip().splitlines()[0])
+        print("usage: python3 tools/diff_reports.py PARENT_DIR")
+        return 2
+    with tempfile.TemporaryDirectory() as folder:
+        parent, change = run_trees((argv[1], ROOT), folder)
+    differ = 0
+    for label in sorted(parent.keys() | change.keys()):
+        old, new = parent.get(label), change.get(label)
+        if old == new:
+            continue
+        differ += 1
+        print(f"differs: {label}: exit {old and old[0]} -> {new and new[0]}")
+        lines = difflib.unified_diff(
+            (old[1] if old else "").splitlines(),
+            (new[1] if new else "").splitlines(), "parent", "change",
+            lineterm="")
+        for line in list(lines)[:DIFF_LINES]:
+            print("    " + line)
+    print(f"{len(parent.keys() | change.keys())} requests, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
