@@ -1,14 +1,16 @@
 """Symbolic region queries: cycles, counts, neighborhoods, tail classes."""
 
+import random
 import sys
 from collections import deque
 
 import pytest
 
-from fpquiver import cli, regions
+from conftest import load_quiver
+from fpquiver import cli, oracle, regions
 from fpquiver.patterns import Finite, Infinite
 from fpquiver.qdl import core, instantiate_window, parse, ray
-from fpquiver.regions import NotIntervalFinite, TailClass, engine_for
+from fpquiver.regions import NotIntervalFinite, RegionEngine, TailClass, engine_for
 
 
 def test_corpus_is_acyclic(corpus):
@@ -296,3 +298,59 @@ def test_strided_descending_tail_report(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert ("result: infinite (ray a, i <= 1 with i mod 3 in {1}; "
             "ray b, i >= 1 with i mod 3 in {1})") in lines
+
+
+# a two-ray int ladder: a shift-1 chain on each ray plus rungs between them
+LADDER2 = (
+    "quiver ladder2\nray p domain int\nray q domain int\n"
+    "family cp: p[i] -> p[i+1] for all i\n"
+    "family cq: q[i] -> q[i+1] for all i\n"
+    "family u: p[i] -> q[i] for all i\n"
+)
+
+
+def _narrow_radius_quivers():
+    rng = random.Random(11)
+    out = [load_quiver("ex5"), parse(LADDER2)]
+    while len(out) < 5:
+        q = oracle.random_description(rng)
+        if regions.oriented_cycle_witness(q) is None:
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("q", _narrow_radius_quivers(),
+                         ids=lambda q: q.name)
+def test_wide_graph_answers_narrow_radii(q):
+    # engine A holds a window far wider than any radius asked below; it must
+    # answer exactly like a fresh engine B that never saw a wider window
+    wide = RegionEngine(q)
+    wide.graph(wide.base_radius + 60)
+    rng = random.Random(5)
+    for r in (3, 5, wide.base_radius):
+        fresh = RegionEngine(q)
+        assert wide.upset(r) == fresh.upset(r)
+        verts = list(instantiate_window(q, r).vertices)
+        picks = rng.sample(verts, min(6, len(verts)))
+        for a in picks:
+            for b in picks:
+                assert wide._window_count(r, a, b) == fresh._window_count(r, a, b)
+            assert wide._count_into(r, a) == fresh._count_into(r, a)
+            assert wide.successors(a) == fresh.successors(a)
+            assert (wide.has_right_infinite_path(a)
+                    == fresh.has_right_infinite_path(a))
+
+
+@pytest.mark.parametrize("domain, guard", [("nat", "for i >= 0"),
+                                           ("int", "for all i")])
+def test_wide_graph_finds_the_same_cycle(domain, guard):
+    q = parse(
+        f"quiver back\nray a domain {domain}\n"
+        f"family up: a[i] -> a[i+1] {guard}\n"
+        "arrow back: a[12] -> a[3]\n"
+    )
+    wide = RegionEngine(q)
+    wide.graph(wide.base_radius + 60)
+    wit = wide.cycle_witness()
+    assert wit is not None and wit == RegionEngine(q).cycle_witness()
+
