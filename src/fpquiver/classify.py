@@ -95,14 +95,15 @@ def ia_fp(q, a):
     Yes iff ``a`` has finitely many predecessors and every predecessor has a
     finite one-step successor set.
     """
-    preds = regions.predecessors(q, a)
+    eng = regions.engine_for(q)
+    preds = eng.predecessors(a)
     card = preds.cardinality(q)
     if isinstance(card, Infinite):
         return Verdict("no", "infinite predecessors", card.witness)
     pred_list = tuple(preds.vertices(q))
     outs = []
     for b in pred_list:
-        nb = regions.out_neighbors(q, b)
+        nb = eng.out_neighbors(b)
         nb_card = nb.cardinality(q)
         if isinstance(nb_card, Infinite):
             return Verdict(

@@ -244,9 +244,10 @@ def build_Y(q, cls, n):
     j2 = start_i + dirn * cls.stride * loops2
     t1, t2 = ray(cls.ray, j1), ray(cls.ray, j2)
     big = abs(j2) + eng.base_radius
+    # the widest count first, so the engine's graph is built once
+    check = eng._count_into(big + eng.margin, t1)
     counts1 = eng._count_into(big, t1)
     counts2 = eng._count_into(big, t2)
-    check = eng._count_into(big + eng.margin, t1)
     for v in window.vertices:
         c1, c2 = counts1.get(v, 0), counts2.get(v, 0)
         if c2 > c1:
@@ -270,7 +271,7 @@ def build_Y(q, cls, n):
         label, i, _ = eng.orbit_step(cls, at, k)
         orbit_ids.append(f"{label}@{i}")
     m_steps = len(orbit_ids)
-    bigw = eng.window(big)
+    bigw = eng.graph(big).window
     reach = counts1
     dims, labels = {}, {}
     chosen = {}

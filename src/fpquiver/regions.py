@@ -22,7 +22,7 @@ Any mismatch between a flag and the window data raises
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 from .patterns import (
@@ -115,24 +115,19 @@ class StageResult:
     witness: object = None
 
 
-class _Graph:
-    __slots__ = ("window", "out_adj", "in_adj", "topo", "trans_out", "upset")
-
-    def __init__(self, window, out_adj, in_adj, topo, trans_out):
-        self.window = window
-        self.out_adj = out_adj
-        self.in_adj = in_adj
-        self.topo = topo
-        self.trans_out = trans_out
-        self.upset = None  # filled in by RegionEngine.upset
+# (arrow, target) lists by vertex position, a topological order (None on a
+# cycle) and each vertex's level, |index| or 0 at a core vertex.  Window(r)
+# is the induced subgraph on level <= r, in the same vertex and arrow order,
+# so a smaller radius is a level bound on a search, never a new graph.
+_Graph = namedtuple("_Graph", "window out_adj topo trans_out level")
 
 
 # ---------------------------------------------------------------------------
 # the engine
 
 
-# each engine keeps every window graph it built, so only the most recently
-# created engines are kept; an evicted description is rebuilt on demand
+# each engine keeps one window graph, so capping the engines bounds memory at
+# that many graphs; an evicted description is rebuilt on demand
 _MAX_ENGINES = 32
 _ENGINES = {}
 
@@ -191,7 +186,8 @@ class RegionEngine:
         self.descent_rays = {
             r for r in names if self.u_reach[r] & self.neg_cycle_rays
         }
-        self._graphs = {}
+        self._graph = None
+        self._upset = None  # (radius, pump configs) of the last upset call
         self._succ_cache = {}
         self._op_engine = None
         self._cycle_checked = False
@@ -204,24 +200,24 @@ class RegionEngine:
             self._op_engine = engine_for(self.q.opposite())
         return self._op_engine
 
-    def window(self, radius):
-        return self.graph(radius).window
-
     def graph(self, radius):
-        g = self._graphs.get(radius)
-        if g is not None:
+        """The engine's one window graph, at least ``radius`` wide.
+
+        A wider request rebuilds it at twice its radius, or at ``radius``
+        when that is more, so upward radius sweeps rebuild it rarely."""
+        g = self._graph
+        if g is not None and g.window.radius >= radius:
             return g
-        w = instantiate_window(self.q, radius)
+        old = 0 if g is None else g.window.radius
+        w = instantiate_window(self.q, max(radius, 2 * old))
         n = len(w.vertices)
         out_adj = [[] for _ in range(n)]
-        in_adj = [[] for _ in range(n)]
         trans_out = [[] for _ in range(n)]
         translation = {f.label for f in self.translation_families}
         for k, a in enumerate(w.arrows):
             si = w.vertex_index(a.source)
             ti = w.vertex_index(a.target)
             out_adj[si].append((k, ti))
-            in_adj[ti].append((k, si))
             if a.label in translation:
                 trans_out[si].append((k, ti))
         indeg = [0] * n
@@ -239,9 +235,9 @@ class RegionEngine:
                     queue.append(ti)
         if len(topo) < n:
             topo = None
-        g = _Graph(w, out_adj, in_adj, topo, trans_out)
-        self._graphs[radius] = g
-        return g
+        level = [abs(v.index) if v.kind == "ray" else 0 for v in w.vertices]
+        self._graph = _Graph(w, out_adj, topo, trans_out, level)
+        return self._graph
 
     # --- oriented cycles ---------------------------------------------------
 
@@ -266,15 +262,17 @@ class RegionEngine:
     def upset(self, radius):
         """Configs that reach a strictly higher same-ray config through
         translation arrows only (hence pump upward forever)."""
+        if self._upset is not None and self._upset[0] == radius:
+            return self._upset[1]
         g = self.graph(radius)
-        if g.upset is not None:
-            return g.upset
         w = g.window
         n = len(w.vertices)
         if g.topo is None:
             raise PreconditionError("pump analysis requires an acyclic window")
         reach = [0] * n
         for vi in reversed(g.topo):
+            if g.level[vi] > radius:
+                continue
             bits = 1 << vi
             for _, ti in g.trans_out[vi]:
                 bits |= reach[ti]
@@ -282,7 +280,7 @@ class RegionEngine:
         upset = set()
         by_ray = {}
         for vi, vref in enumerate(w.vertices):
-            if vref.kind == "ray":
+            if vref.kind == "ray" and g.level[vi] <= radius:
                 by_ray.setdefault(vref.name, []).append((vref.index, vi))
         for name, entries in by_ray.items():
             entries.sort()
@@ -291,7 +289,7 @@ class RegionEngine:
                 if reach[vi] & higher:
                     upset.add(w.vertices[vi])
                 higher |= 1 << vi
-        g.upset = upset
+        self._upset = (radius, upset)
         return upset
 
     # --- symbolic reach sets -------------------------------------------------
@@ -305,7 +303,7 @@ class RegionEngine:
         """
         g = self.graph(radius)
         w = g.window
-        seen = _reached(g, seeds)
+        seen = _reached(g, seeds, radius)
         reached = [v for v, hit in zip(w.vertices, seen) if hit]
         cores = {v.name for v in reached if v.kind == "core"}
         ray_data = {name: set() for name in self.q.ray_names()}
@@ -315,8 +313,7 @@ class RegionEngine:
 
         up_seeds, down_seeds = set(), set()
         for f in self.fan_families:
-            src = f.source.resolve()
-            if w.contains(src) and seen[w.vertex_index(src)]:
+            if seen[w.vertex_index(f.source.resolve())]:
                 up_seeds.add(f.target.name)
                 if f.lower is None:
                     down_seeds.add(f.target.name)
@@ -491,31 +488,24 @@ class RegionEngine:
     # --- path counting ----------------------------------------------------------
 
     def _window_count(self, radius, a, b):
-        g = self.graph(radius)
-        w = g.window
-        if not (w.contains(a) and w.contains(b)):
+        if not (
+            self.q.vertex_in_window(a, radius)
+            and self.q.vertex_in_window(b, radius)
+        ):
             return 0
-        if g.topo is None:
-            raise PreconditionError("path counting requires an acyclic window")
-        ai = w.vertex_index(a)
-        bi = w.vertex_index(b)
-        ways = [0] * len(w.vertices)
-        ways[ai] = 1
-        for vi in g.topo:
-            if ways[vi]:
-                for _, ti in g.out_adj[vi]:
-                    ways[ti] += ways[vi]
-        return ways[bi]
+        return self._count_into(radius, b).get(a, 0)
 
     def _count_into(self, radius, target):
-        """Path counts from every window vertex into ``target``."""
+        """Path counts from every Window(radius) vertex into ``target``."""
         g = self.graph(radius)
+        if g.topo is None:
+            raise PreconditionError("path counting requires an acyclic window")
         w = g.window
         ti = w.vertex_index(target)
         ways = [0] * len(w.vertices)
         ways[ti] = 1
         for vi in reversed(g.topo):
-            if vi == ti:
+            if vi == ti or g.level[vi] > radius:
                 continue
             total = 0
             for _, tj in g.out_adj[vi]:
@@ -553,8 +543,9 @@ class RegionEngine:
     def _pump_configs(self, radius):
         """Configs admitting a right-infinite continuation by themselves."""
         pumps = set(self.upset(radius))
-        for v in self.window(radius).vertices:
-            if v.kind == "ray" and v.name in self.descent_rays:
+        g = self.graph(radius)
+        for v, lv in zip(g.window.vertices, g.level):
+            if lv <= radius and v.kind == "ray" and v.name in self.descent_rays:
                 pumps.add(v)
         return pumps
 
@@ -563,7 +554,7 @@ class RegionEngine:
         radius = self._query_radius(vref)
         g = self.graph(radius)
         pumps = self._pump_configs(radius)
-        seen = _reached(g, [vref])
+        seen = _reached(g, [vref], radius)
         return any(hit and v in pumps for v, hit in zip(g.window.vertices, seen))
 
     def has_left_infinite_path(self, vref):
@@ -674,9 +665,8 @@ class RegionEngine:
         """(seeds, seed_tails) covering every config whose successor set is
         infinite on its own: fan sources, pump configs, descent rays."""
         radius = self.base_radius
-        w = self.window(radius)
         seeds = {f.source.resolve() for f in self.fan_families}
-        seeds = {s for s in seeds if w.contains(s)} | self._pump_configs(radius)
+        seeds |= self._pump_configs(radius)
         tails = self._upset_tails(radius)
         for name in self.descent_rays:
             tails[name] = tails.get(name, IndexSet.empty()).union(
@@ -700,7 +690,6 @@ class RegionEngine:
         """All vertices reachable from some fan family source."""
         self.ensure_acyclic()
         seeds = [f.source.resolve() for f in self.fan_families]
-        seeds = [s for s in seeds if self.window(self.base_radius).contains(s)]
         if not seeds:
             return SupportDescription.build()
         return self._succ_support(seeds, self.base_radius)
@@ -906,22 +895,18 @@ class RegionEngine:
         else:
             elem = rest.vertices(self.q)[0]
         radius = self.base_radius + abs(elem.index if elem.kind == "ray" else 0)
-        g = self.graph(radius)
-        w = g.window
+        w = self.graph(radius).window
         arrows = []
         cur = elem
         for _ in range(2 * self.bound + 4):
-            if not w.contains(cur):
-                break
-            step = None
-            for k, si in g.in_adj[w.vertex_index(cur)]:
-                if rest.contains(w.vertices[si]):
-                    step = (w.arrows[k], w.vertices[si])
+            for a in w.arrows_into(cur):
+                src = a.source
+                if self.q.vertex_in_window(src, radius) and rest.contains(src):
                     break
-            if step is None:
+            else:
                 break
-            arrows.append(step[0])
-            cur = step[1]
+            arrows.append(a)
+            cur = src
         arrows.reverse()
         return Path(cur, tuple(arrows))
 
@@ -939,8 +924,9 @@ class RegionEngine:
         t2 = ray(cls.ray, j2)
         c1 = self._count_into(radius, t1)
         c2 = self._count_into(radius, t2)
-        w = self.window(radius)
-        for vref in w.vertices:
+        # the graph may be wider than ``radius``, but every vertex past
+        # nstar < radius is skipped, so no level bound is needed
+        for vref in self.graph(radius).window.vertices:
             if vref.kind == "ray" and abs(vref.index) > self.nstar:
                 continue
             a = c1.get(vref, 0)
@@ -1003,8 +989,9 @@ class RegionEngine:
 # helpers
 
 
-def _reached(g, seeds):
-    """Per window vertex, whether a path in ``g`` leads to it from ``seeds``."""
+def _reached(g, seeds, radius):
+    """Per graph vertex, whether a path in Window(radius) leads to it from
+    ``seeds``."""
     w = g.window
     seen = [False] * len(w.vertices)
     queue = deque()
@@ -1016,7 +1003,7 @@ def _reached(g, seeds):
     while queue:
         vi = queue.popleft()
         for _, ti in g.out_adj[vi]:
-            if not seen[ti]:
+            if not seen[ti] and g.level[ti] <= radius:
                 seen[ti] = True
                 queue.append(ti)
     return seen
@@ -1078,10 +1065,11 @@ def _find_cycle(eng):
     q = eng.q
     radius = eng.base_radius
     g = eng.graph(radius)
-    w = g.window
     if g.topo is None:
-        return _window_cycle(g)
-    # anchored cycles would appear in the window graph, which is acyclic
+        cyc = _window_cycle(g, radius)
+        if cyc is not None:
+            return cyc
+    # anchored cycles would appear in Window(radius), which is acyclic
     # here, so only zero-gain translation walks remain
     edges = eng.translation_families
     if not edges:
@@ -1132,14 +1120,15 @@ def _find_cycle(eng):
     return None
 
 
-def _window_cycle(g):
-    """Recover a concrete cycle from a window whose graph failed topo sort.
+def _window_cycle(g, radius):
+    """A concrete cycle in Window(radius), or None when it has none.
 
     Depth-first search with an explicit stack, so a long path in the window
-    needs no recursion; ``out_adj`` is visited in order.
+    needs no recursion; ``out_adj`` is visited in order.  Vertices past
+    ``radius`` start out finished, so the search never enters them.
     """
     w = g.window
-    color = [0] * len(w.vertices)
+    color = [2 if lv > radius else 0 for lv in g.level]
     for root in range(len(w.vertices)):
         if color[root]:
             continue

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import load_quiver
 from fpquiver import cli, oracle, regions
+from fpquiver.classify import classify
 from fpquiver.patterns import Finite, Infinite
 from fpquiver.qdl import core, instantiate_window, parse, ray
 from fpquiver.regions import NotIntervalFinite, RegionEngine, TailClass, engine_for
@@ -309,10 +310,19 @@ LADDER2 = (
 )
 
 
+# a path from a[i] climbs to a[i+2] only through b[i+5], so near the edge
+# of a window it leaves the window and comes back
+REENTER = (
+    "quiver reenter\nray a domain int\nray b domain int\n"
+    "family up: a[i] -> b[i+5] for all i\n"
+    "family down: b[i] -> a[i-3] for all i\n"
+)
+
+
 def _narrow_radius_quivers():
     rng = random.Random(11)
-    out = [load_quiver("ex5"), parse(LADDER2)]
-    while len(out) < 5:
+    out = [load_quiver("ex5"), parse(LADDER2), parse(REENTER), parse(STRIDE3)]
+    while len(out) < 7:
         q = oracle.random_description(rng)
         if regions.oriented_cycle_witness(q) is None:
             out.append(q)
@@ -330,6 +340,7 @@ def test_wide_graph_answers_narrow_radii(q):
     for r in (3, 5, wide.base_radius):
         fresh = RegionEngine(q)
         assert wide.upset(r) == fresh.upset(r)
+        assert wide._pump_configs(r) == fresh._pump_configs(r)
         verts = list(instantiate_window(q, r).vertices)
         picks = rng.sample(verts, min(6, len(verts)))
         for a in picks:
@@ -341,16 +352,46 @@ def test_wide_graph_answers_narrow_radii(q):
                     == fresh.has_right_infinite_path(a))
 
 
-@pytest.mark.parametrize("domain, guard", [("nat", "for i >= 0"),
-                                           ("int", "for all i")])
-def test_wide_graph_finds_the_same_cycle(domain, guard):
+@pytest.mark.parametrize("domain, guard, back", [
+    ("nat", "for i >= 0", "arrow back: a[12] -> a[3]"),
+    ("int", "for all i", "arrow back: a[12] -> a[3]"),
+    ("int", "for all i", "family back: a[i+1] -> a[i] for all i"),
+])
+def test_wide_graph_finds_the_same_cycle(domain, guard, back):
     q = parse(
         f"quiver back\nray a domain {domain}\n"
-        f"family up: a[i] -> a[i+1] {guard}\n"
-        "arrow back: a[12] -> a[3]\n"
+        f"family up: a[i] -> a[i+1] {guard}\n{back}\n"
     )
     wide = RegionEngine(q)
     wide.graph(wide.base_radius + 60)
     wit = wide.cycle_witness()
     assert wit is not None and wit == RegionEngine(q).cycle_witness()
 
+
+def test_one_graph_per_engine():
+    q = parse(
+        "quiver far60\nray a domain nat\nray b domain nat\n"
+        "family fa: a[i] -> a[i+1] for i >= 0\n"
+        "family fb: b[i] -> b[i+1] for i >= 0\n"
+        "arrow g: a[60] -> b[0]\n"
+    )
+    eng = RegionEngine(q)
+    assert eng.graph(eng.base_radius + 10) is eng.graph(eng.base_radius)
+    classify(q)
+    for e in (engine_for(q), engine_for(q).op()):
+        g = e.graph(0)
+        assert all(e.graph(r) is g for r in range(g.window.radius + 1))
+
+
+@pytest.mark.parametrize("q", _narrow_radius_quivers(),
+                         ids=lambda q: q.name)
+def test_window_reach_of_a_wide_graph(q):
+    eng = RegionEngine(q)
+    g = eng.graph(eng.base_radius + 60)
+    rng = random.Random(5)
+    for r in (3, 5, eng.base_radius):
+        verts = list(instantiate_window(q, r).vertices)
+        for a in rng.sample(verts, min(6, len(verts))):
+            seen = regions._reached(g, [a], r)
+            got = {v for v, hit in zip(g.window.vertices, seen) if hit}
+            assert got == _window_reach(q, a, r, r, forward=True)

@@ -2,8 +2,10 @@
 
 Every seed-1 and seed-2 ``catalog-cold`` request runs through
 ``fpquiver.cli.main`` in-process, with the engine cache cleared before each
-request; every distinct seed-1 and seed-2 ``reps`` build is written out with
-``dump_rep`` followed by its socle and radical dimensions.  Each tree runs
+request, and so does ``classify`` on the scaling shapes the benchmark stops
+short of: a far constant C=300 and the R=4 and R=5 ``int`` ladders.  Every
+distinct seed-1 and seed-2 ``reps`` build is written out with ``dump_rep``
+followed by its socle and radical dimensions.  Each tree runs
 in its own subprocess with ``PYTHONPATH=<tree>/src``.  The inputs come from
 this tree's ``perfbench/gen.py`` and ``checks.build_rep``, imported without
 writing bytecode, so both trees see the same requests.
@@ -14,7 +16,7 @@ against (``git worktree add``, or ``git archive`` unpacked elsewhere):
     python3 tools/diff_reports.py PARENT_DIR
 
 Prints each request whose stdout or exit code differs and exits 1 if any
-does, 0 otherwise.  A run takes about a minute on two cores.
+does, 0 otherwise.  A run takes about 40 seconds on two cores.
 """
 
 import contextlib
@@ -23,6 +25,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -36,6 +39,12 @@ import checks  # noqa: E402
 import gen  # noqa: E402
 
 SEEDS = (1, 2)
+# (name, description text) of each scaling shape, classified once per tree
+SCALING = (
+    ("far300", gen.far_text(random.Random(0), 300, "far300")[0]),
+    ("ladder4", gen.ladder_text(random.Random(0), 4, 1, "int", "ladder4")[0]),
+    ("ladder5", gen.ladder_text(random.Random(0), 5, 1, "int", "ladder5")[0]),
+)
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
 
@@ -55,6 +64,10 @@ def requests(folder):
             if (text, build, where, n) not in builds:
                 builds.add((text, build, where, n))
                 reps.append((f"reps {name}", text, build, where, n))
+    for name, text in SCALING:
+        path = pathlib.Path(folder) / f"scaling-{name}.quiver"
+        path.write_text(text, encoding="utf-8")
+        catalog.append((f"scaling {name}", ["classify", str(path)]))
     return {"catalog": catalog, "reps": reps}
 
 
