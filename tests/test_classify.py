@@ -2,7 +2,8 @@
 
 import pytest
 
-from fpquiver.classify import classify, ia_fp, yp_fp
+from fpquiver.classify import Verdict, classify, ia_fp, yp_fp
+from fpquiver.patterns import TailWitness
 from fpquiver.qdl import core, parse, ray
 from fpquiver.regions import NotIntervalFinite, engine_for
 
@@ -25,6 +26,15 @@ def test_ia_certificate(ex1):
     cert = ia_fp(ex1, ray("a", 2)).certificate
     assert [p.canonical_id() for p in cert.predecessors] == [
         "r:a:0", "r:a:1", "r:a:2"]
+
+
+def test_ia_fan_predecessor_verdict(ex3):
+    # the whole "no" verdict: value, reason and the (predecessor, tail) witness
+    assert ia_fp(ex3, ray("b", 4)) == Verdict(
+        "no",
+        "predecessor v:v0 has infinite out-degree",
+        (core("v0"), TailWitness("b", "+", 0, 1)),
+    )
 
 
 def test_verdict_render(ex2):

@@ -130,6 +130,20 @@ def test_socle_and_radical(ex1):
     assert socle(zero_rep(p1.window)).dims_dict() == {}
 
 
+@pytest.mark.parametrize("fixture, top, side, flagged", [
+    ("ex1", ray("a", 0), "socle", {ray("a", 3)}),
+    ("ex2", ray("a", -3), "radical", {ray("a", -3)}),
+    ("ex3", core("v0"), "socle", {core("v0"), ray("b", 3)}),
+])
+def test_socle_and_radical_boundary_flags(request, fixture, top, side,
+                                          flagged):
+    # a vertex is flagged when one of its out- (socle) or in-neighbours
+    # (radical) lies outside the window, or there are infinitely many
+    p = build_P(request.getfixturevalue(fixture), top, 3)
+    sub = socle(p) if side == "socle" else radical(p)
+    assert sub.boundary == frozenset(flagged)
+
+
 def test_hom_from_projective(ex1, ex4):
     p1 = build_P(ex1, ray("a", 0), 3)
     h = hom_from_projective(p1, ray("a", 0))
