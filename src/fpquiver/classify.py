@@ -38,8 +38,12 @@ class Verdict:
 
 @dataclass(frozen=True)
 class IaCertificate:
+    """The finite predecessor set of a "yes" vertex.
+
+    Each predecessor has finite out-degree because none is a fan source, so
+    the certificate lists the predecessors alone."""
+
     predecessors: tuple
-    out_lists: tuple  # (predecessor, its one-step successors), aligned
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,12 @@ def ia_fp(q, a):
     """Is the injective at ``a`` finitely presented?
 
     Yes iff ``a`` has finitely many predecessors and every predecessor has a
-    finite one-step successor set.
+    finite one-step successor set.  Only a fan source (a fixed vertex with a
+    family into every index of a ray tail) has infinitely many one-step
+    successors; any other arrow or family statement gives a vertex at most
+    one.  So the first predecessor among the engine's ``fan_sources``
+    decides a "no", witnessed by that predecessor and the tail of its
+    out-neighbours, and a "yes" carries the predecessors.
     """
     eng = regions.engine_for(q)
     preds = eng.predecessors(a)
@@ -101,18 +110,14 @@ def ia_fp(q, a):
     if isinstance(card, Infinite):
         return Verdict("no", "infinite predecessors", card.witness)
     pred_list = tuple(preds.vertices(q))
-    outs = []
     for b in pred_list:
-        nb = eng.out_neighbors(b)
-        nb_card = nb.cardinality(q)
-        if isinstance(nb_card, Infinite):
+        if b in eng.fan_sources:
             return Verdict(
                 "no",
                 f"predecessor {b.canonical_id()} has infinite out-degree",
-                (b, nb_card.witness),
+                (b, eng.out_neighbors(b).cardinality(q).witness),
             )
-        outs.append((b, tuple(nb.vertices(q))))
-    return Verdict("yes", "", IaCertificate(pred_list, tuple(outs)))
+    return Verdict("yes", "", IaCertificate(pred_list))
 
 
 def yp_fp(q, c):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratmat, regions
-from .patterns import Infinite, InternalConsistencyError
+from .patterns import InternalConsistencyError
 from .qdl import Path, VertexRef, instantiate_window, ray
 from .regions import PreconditionError
 
@@ -368,11 +368,13 @@ class SubRepWindow:
         return MorphismWindow(self.as_rep(), self.parent, comps)
 
 
-def _neighbors_inside(q, v, window, outgoing):
-    nb = regions.out_neighbors(q, v) if outgoing else regions.in_neighbors(q, v)
-    if isinstance(nb.cardinality(q), Infinite):
+def _neighbors_inside(eng, v, window):
+    """Whether every one-step target of ``v`` under ``eng`` is in ``window``
+    (never, at a fan source: it has infinitely many)."""
+    if v in eng.fan_sources:
         return False
-    return all(window.contains(w) for w in nb.vertices(q))
+    targets = eng.out_neighbors(v).vertices(eng.q)
+    return all(window.contains(w) for w in targets)
 
 
 def socle(m):
@@ -380,13 +382,13 @@ def socle(m):
 
     Vertices with out-arrows truncated by the window are flagged boundary.
     """
-    q = m.window.description
+    eng = regions.engine_for(m.window.description)
     bases, flags = {}, set()
     for v in m.window.vertices:
         d = m.dim(v)
         if d == 0:
             continue
-        if not _neighbors_inside(q, v, m.window, outgoing=True):
+        if not _neighbors_inside(eng, v, m.window):
             flags.add(v)
         stacked = []
         for ar in m.window.arrows_from(v):
@@ -399,12 +401,12 @@ def socle(m):
 
 def radical(m):
     """Sum of the images of all incoming maps, per vertex (dual flags)."""
-    q = m.window.description
+    eng = regions.engine_for(m.window.description).op()
     bases, flags = {}, set()
     for v in m.window.vertices:
         if m.dim(v) == 0:
             continue
-        if not _neighbors_inside(q, v, m.window, outgoing=False):
+        if not _neighbors_inside(eng, v, m.window):
             flags.add(v)
         cols = []
         for ar in m.window.arrows_into(v):
@@ -740,8 +742,9 @@ def is_fd_rep_fp(q, m):
             raise PreconditionError(
                 f"support touches the window boundary at {v.canonical_id()}"
             )
+    fan_sources = regions.engine_for(q).fan_sources
     for v in m.support():
-        if isinstance(regions.out_neighbors(q, v).cardinality(q), Infinite):
+        if v in fan_sources:
             return False, v
     return True, None
 

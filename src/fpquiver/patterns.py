@@ -470,23 +470,6 @@ class TailWitness:
         return tuple(ray(self.ray, self.start + k * step) for k in range(count))
 
 
-@dataclass(frozen=True)
-class GrowthWitness:
-    """An infinite count: window truncations grow strictly along ``radii``.
-
-    ``cycle`` names the arrow families of a region cycle with nonzero index
-    gain on a route realizing the growth.
-    """
-
-    kind: str
-    source: object = None
-    target: object = None
-    cycle: tuple = ()
-    gain: int = 0
-    radii: tuple = ()
-    counts: tuple = ()
-
-
 # ---------------------------------------------------------------------------
 # vertex-set descriptions
 

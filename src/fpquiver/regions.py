@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from .patterns import (
     Finite,
-    GrowthWitness,
     IndexSet,
     Infinite,
     InternalConsistencyError,
@@ -105,7 +104,6 @@ class InfiniteClassFamilyReport:
     regime: str
     ray: str
     labels: tuple
-    witness: GrowthWitness
 
 
 @dataclass(frozen=True)
@@ -154,14 +152,18 @@ class RegionEngine:
         self.base_radius = self.nstar + self.margin
         self.c_max = max((abs(c) for c in q.constants()), default=0)
         self._families = {f.label: f for f in q.families}
-        # families from a templated ray index to one, and families with a
-        # fixed source and a templated target
+        # families from a templated ray index to one
         self.translation_families = [
             f for f in q.families if f.source.is_var and f.target.is_var
         ]
-        self.fan_families = [
-            f for f in q.families if not f.source.is_var and f.target.is_var
-        ]
+        # fans (a fixed source, a templated target) by resolved source, in
+        # family order.  A fan hits every index of its target ray from some
+        # point on, while any other arrow or family gives a vertex one
+        # target, so these are exactly the vertices of infinite out-degree.
+        self.fan_sources = {}
+        for f in q.families:
+            if not f.source.is_var and f.target.is_var:
+                self.fan_sources.setdefault(f.source.resolve(), []).append(f)
         # the translation template as edges (label, src_ray, tgt_ray, gain),
         # and its unguarded part
         self.full_template = [
@@ -312,11 +314,12 @@ class RegionEngine:
                 ray_data[v.name].add(v.index)
 
         up_seeds, down_seeds = set(), set()
-        for f in self.fan_families:
-            if seen[w.vertex_index(f.source.resolve())]:
-                up_seeds.add(f.target.name)
-                if f.lower is None:
-                    down_seeds.add(f.target.name)
+        for src, fans in self.fan_sources.items():
+            if seen[w.vertex_index(src)]:
+                for f in fans:
+                    up_seeds.add(f.target.name)
+                    if f.lower is None:
+                        down_seeds.add(f.target.name)
         upset = self.upset(radius)
         for v in reached:
             if v.kind == "ray" and v in upset:
@@ -565,7 +568,7 @@ class RegionEngine:
     def _infinity_sources(self):
         """Candidate configs whose successor set may be infinite: fan
         sources plus a stride-representative band of pump configs."""
-        out = [f.source.resolve() for f in self.fan_families]
+        out = list(self.fan_sources)
         radius = self.base_radius
         upset = self.upset(radius)
         gz = self.c_max + self.bound + 2
@@ -665,8 +668,7 @@ class RegionEngine:
         """(seeds, seed_tails) covering every config whose successor set is
         infinite on its own: fan sources, pump configs, descent rays."""
         radius = self.base_radius
-        seeds = {f.source.resolve() for f in self.fan_families}
-        seeds |= self._pump_configs(radius)
+        seeds = set(self.fan_sources) | self._pump_configs(radius)
         tails = self._upset_tails(radius)
         for name in self.descent_rays:
             tails[name] = tails.get(name, IndexSet.empty()).union(
@@ -689,10 +691,9 @@ class RegionEngine:
     def fan_successor_set(self):
         """All vertices reachable from some fan family source."""
         self.ensure_acyclic()
-        seeds = [f.source.resolve() for f in self.fan_families]
-        if not seeds:
+        if not self.fan_sources:
             return SupportDescription.build()
-        return self._succ_support(seeds, self.base_radius)
+        return self._succ_support(list(self.fan_sources), self.base_radius)
 
     # --- tail classes ------------------------------------------------------------------
 
@@ -733,11 +734,6 @@ class RegionEngine:
                             regime=regime,
                             ray=rays_on[0],
                             labels=labels,
-                            witness=GrowthWitness(
-                                kind="classes",
-                                cycle=labels,
-                                gain=0,
-                            ),
                         )
                     )
                     continue

@@ -395,3 +395,21 @@ def test_window_reach_of_a_wide_graph(q):
             seen = regions._reached(g, [a], r)
             got = {v for v, hit in zip(g.window.vertices, seen) if hit}
             assert got == _window_reach(q, a, r, r, forward=True)
+
+
+def _fan_source_quivers():
+    rng = random.Random(17)
+    return [load_quiver(f"ex{k}") for k in range(1, 6)] + [
+        oracle.random_description(rng, f"rnd{k}") for k in range(30)
+    ]
+
+
+@pytest.mark.parametrize("q", _fan_source_quivers(), ids=lambda q: q.name)
+def test_fan_sources_are_the_infinite_out_degree(q):
+    # the engine's fan sources against the out-neighbour sets they replace
+    # in classify and linrep, on the engine and on its opposite
+    eng = engine_for(q)
+    for e in (eng, eng.op()):
+        for v in instantiate_window(e.q, eng.nstar).vertices:
+            infinite = isinstance(e.out_neighbors(v).cardinality(e.q), Infinite)
+            assert (v in e.fan_sources) == infinite, v

@@ -3,7 +3,8 @@
 Every seed-1 and seed-2 ``catalog-cold`` request runs through
 ``fpquiver.cli.main`` in-process, with the engine cache cleared before each
 request, and so does ``classify`` on the scaling shapes the benchmark stops
-short of: a far constant C=300 and the R=4 and R=5 ``int`` ladders.  Every
+short of: far constants C=300 and C=600 (where the cost of the pointwise
+check grows as C squared) and the R=4 and R=5 ``int`` ladders.  Every
 distinct seed-1 and seed-2 ``reps`` build is written out with ``dump_rep``
 followed by its socle and radical dimensions.  Each tree runs
 in its own subprocess with ``PYTHONPATH=<tree>/src``.  The inputs come from
@@ -16,7 +17,7 @@ against (``git worktree add``, or ``git archive`` unpacked elsewhere):
     python3 tools/diff_reports.py PARENT_DIR
 
 Prints each request whose stdout or exit code differs and exits 1 if any
-does, 0 otherwise.  A run takes about 40 seconds on two cores.
+does, 0 otherwise.  A run takes up to 90 seconds on two cores.
 """
 
 import contextlib
@@ -42,6 +43,7 @@ SEEDS = (1, 2)
 # (name, description text) of each scaling shape, classified once per tree
 SCALING = (
     ("far300", gen.far_text(random.Random(0), 300, "far300")[0]),
+    ("far600", gen.far_text(random.Random(0), 600, "far600")[0]),
     ("ladder4", gen.ladder_text(random.Random(0), 4, 1, "int", "ladder4")[0]),
     ("ladder5", gen.ladder_text(random.Random(0), 5, 1, "int", "ladder5")[0]),
 )
