@@ -413,3 +413,36 @@ def test_fan_sources_are_the_infinite_out_degree(q):
         for v in instantiate_window(e.q, eng.nstar).vertices:
             infinite = isinstance(e.out_neighbors(v).cardinality(e.q), Infinite)
             assert (v in e.fan_sources) == infinite, v
+
+
+def _brute_upset(q, r):
+    """Ray vertices of Window(r) from which translation arrows alone lead
+    to a higher index on the same ray (plain BFS per vertex)."""
+    w = instantiate_window(q, r)
+    translation = {
+        f.label for f in q.families if f.source.is_var and f.target.is_var
+    }
+    out = set()
+    for v in w.vertices:
+        if v.kind != "ray":
+            continue
+        seen = {v}
+        queue = deque(seen)
+        while queue:
+            u = queue.popleft()
+            if u.name == v.name and u.index > v.index:
+                out.add(v)
+                break
+            for a in w.arrows_from(u):
+                if a.label in translation and a.target not in seen:
+                    seen.add(a.target)
+                    queue.append(a.target)
+    return out
+
+
+@pytest.mark.parametrize("q", _narrow_radius_quivers(),
+                         ids=lambda q: q.name)
+def test_upset_is_the_brute_pump_set(q):
+    eng = RegionEngine(q)
+    for r in (3, 5, eng.base_radius):
+        assert eng.upset(r) == _brute_upset(q, r), r
