@@ -11,6 +11,11 @@ infinite quiver:
 * Q(a, b) is infinite exactly when successors(a) and predecessors(b) share an
   infinite ray tail, so path counts reduce to one set intersection, and the
   finite case is an ordinary DP over the window;
+* interval finiteness is decided union first: the successors of every
+  config that may have an infinite successor set, met with the predecessors
+  of every config that may have an infinite predecessor set.  Only when
+  that meet is infinite are single configs and then pairs tried, to name a
+  pair (a, b) with Q(a, b) infinite;
 * oriented cycles are found either through an anchor vertex (bounded search)
   or as a zero-gain closed walk of translation families (exact gain-bounded
   BFS over (ray, gain) states — a strongly connected mix of signs is *not*
@@ -262,35 +267,15 @@ class RegionEngine:
     # --- pump configurations -----------------------------------------------
 
     def upset(self, radius):
-        """Configs that reach a strictly higher same-ray config through
-        translation arrows only (hence pump upward forever)."""
+        """Configs of Window(radius) that reach a strictly higher same-ray
+        config through translation arrows only (hence pump upward forever).
+
+        The mask ``level <= radius`` is closed under every translation arrow
+        into Window(radius), as :func:`_pumps` needs."""
         if self._upset is not None and self._upset[0] == radius:
             return self._upset[1]
         g = self.graph(radius)
-        w = g.window
-        n = len(w.vertices)
-        if g.topo is None:
-            raise PreconditionError("pump analysis requires an acyclic window")
-        reach = [0] * n
-        for vi in reversed(g.topo):
-            if g.level[vi] > radius:
-                continue
-            bits = 1 << vi
-            for _, ti in g.trans_out[vi]:
-                bits |= reach[ti]
-            reach[vi] = bits
-        upset = set()
-        by_ray = {}
-        for vi, vref in enumerate(w.vertices):
-            if vref.kind == "ray" and g.level[vi] <= radius:
-                by_ray.setdefault(vref.name, []).append((vref.index, vi))
-        for name, entries in by_ray.items():
-            entries.sort()
-            higher = 0
-            for idx, vi in reversed(entries):
-                if reach[vi] & higher:
-                    upset.add(w.vertices[vi])
-                higher |= 1 << vi
+        upset = _pumps(g, [lv <= radius for lv in g.level])
         self._upset = (radius, upset)
         return upset
 
@@ -320,10 +305,10 @@ class RegionEngine:
                     up_seeds.add(f.target.name)
                     if f.lower is None:
                         down_seeds.add(f.target.name)
-        upset = self.upset(radius)
-        for v in reached:
-            if v.kind == "ray" and v in upset:
-                up_seeds.add(v.name)
+        # the reach set is closed under the translation arrows of
+        # Window(radius), so its pumps are upset(radius) within it
+        for v in _pumps(g, seen):
+            up_seeds.add(v.name)
         if seed_tails:
             for name, iset in seed_tails.items():
                 if iset.up is not None:
@@ -556,9 +541,11 @@ class RegionEngine:
         self.ensure_acyclic()
         radius = self._query_radius(vref)
         g = self.graph(radius)
-        pumps = self._pump_configs(radius)
         seen = _reached(g, [vref], radius)
-        return any(hit and v in pumps for v, hit in zip(g.window.vertices, seen))
+        return any(
+            hit and v.kind == "ray" and v.name in self.descent_rays
+            for v, hit in zip(g.window.vertices, seen)
+        ) or bool(_pumps(g, seen))
 
     def has_left_infinite_path(self, vref):
         return self.op().has_right_infinite_path(vref)
@@ -588,15 +575,28 @@ class RegionEngine:
         return list(dict.fromkeys(out))
 
     def interval_finite_witness(self):
-        """(True, None, None) or (False, (a, b), evidence)."""
+        """(True, None, None) or (False, (a, b), evidence).
+
+        A meet with a finite union of sets is infinite only when its meet
+        with some member is, so one reach from all ``a`` candidates and one
+        into all ``b`` candidates decide the verdict; pairs are scanned only
+        for an ``a`` whose reach meets the ``b`` union infinitely."""
         w = self.cycle_witness()
         if w is not None:
             return (False, (w.source, w.source), w)
         a_cands = self._infinity_sources()
-        b_cands = self.op()._infinity_sources()
+        op = self.op()
+        b_cands = op._infinity_sources()
+        reach_a = self._succ_support(a_cands, self._query_radius(*a_cands))
+        if reach_a.is_finite:
+            return (True, None, None)
+        op.ensure_acyclic()
+        reach_b = op._succ_support(b_cands, op._query_radius(*b_cands))
+        if reach_a.intersect(reach_b).is_finite:
+            return (True, None, None)
         for a in a_cands:
             sa = self.successors(a)
-            if sa.is_finite:
+            if sa.is_finite or sa.intersect(reach_b).is_finite:
                 continue
             for b in b_cands:
                 meet = sa.intersect(self.predecessors(b))
@@ -608,7 +608,9 @@ class RegionEngine:
                         f"infinite meet for ({a.canonical_id()}, "
                         f"{b.canonical_id()}) but finite path count"
                     )
-        return (True, None, None)
+        raise InternalConsistencyError(
+            "the reach unions meet infinitely but no candidate pair does"
+        )
 
     def ensure_interval_finite(self):
         ok, pair, witness = self.interval_finite_witness()
@@ -1003,6 +1005,49 @@ def _reached(g, seeds, radius):
                 seen[ti] = True
                 queue.append(ti)
     return seen
+
+
+def _pumps(g, live):
+    """Ray vertices of ``live`` (a per-vertex mask) from which translation
+    arrows through ``live`` lead to a higher index on their own ray.
+
+    ``live`` must be closed under the translation arrows that stay in the
+    window being asked about (level <= radius): then a vertex's answer is
+    the one over that whole window.  A DP in reverse topological order
+    keeps, per vertex, the highest index it reaches on each ray."""
+    if g.topo is None:
+        raise PreconditionError("pump analysis requires an acyclic window")
+    verts = g.window.vertices
+    # per vertex, {ray: highest index reached}; a dict is shared with a
+    # target whenever the vertex adds nothing to it, and never mutated
+    top = [None] * len(verts)
+    out = set()
+    for vi in reversed(g.topo):
+        if not live[vi]:
+            continue
+        v = verts[vi]
+        if v.kind != "ray":
+            continue
+        high = None
+        for _, ti in g.trans_out[vi]:
+            reached = top[ti]
+            if reached is None:
+                continue
+            if high is None:
+                high = reached
+                continue
+            high = dict(high)
+            for name, idx in reached.items():
+                if high.get(name, idx) <= idx:
+                    high[name] = idx
+        if high is None:
+            top[vi] = {v.name: v.index}
+        elif high.get(v.name, v.index) > v.index:
+            out.add(v)
+            top[vi] = high
+        else:
+            top[vi] = {**high, v.name: v.index}
+    return out
 
 
 def _reach(nodes, edges):

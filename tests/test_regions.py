@@ -9,7 +9,7 @@ import pytest
 from conftest import load_quiver
 from fpquiver import cli, oracle, regions
 from fpquiver.classify import classify
-from fpquiver.patterns import Finite, Infinite
+from fpquiver.patterns import Finite, Infinite, SupportDescription
 from fpquiver.qdl import core, instantiate_window, parse, ray
 from fpquiver.regions import NotIntervalFinite, RegionEngine, TailClass, engine_for
 
@@ -446,3 +446,81 @@ def test_upset_is_the_brute_pump_set(q):
     eng = RegionEngine(q)
     for r in (3, 5, eng.base_radius):
         assert eng.upset(r) == _brute_upset(q, r), r
+
+
+@pytest.mark.parametrize("q", _narrow_radius_quivers(),
+                         ids=lambda q: q.name)
+def test_pumps_of_a_reach_set(q):
+    # the pump flags read off a reach set are upset(r) within it, and
+    # has_right_infinite_path is the formula over upset(r) it replaced
+    eng = RegionEngine(q)
+    rng = random.Random(7)
+    for r in (3, 5, eng.base_radius):
+        g = eng.graph(r)
+        pumps = eng.upset(r)
+        verts = list(instantiate_window(q, r).vertices)
+        picks = rng.sample(verts, min(6, len(verts)))
+        for seeds in [[a] for a in picks] + [picks]:
+            seen = regions._reached(g, seeds, r)
+            reach = {v for v, hit in zip(g.window.vertices, seen) if hit}
+            assert regions._pumps(g, seen) == pumps & reach
+        for a in picks:
+            radius = eng._query_radius(a)
+            g = eng.graph(radius)
+            seen = regions._reached(g, [a], radius)
+            reach = {v for v, hit in zip(g.window.vertices, seen) if hit}
+            formula = any(
+                v in eng.upset(radius)
+                or (v.kind == "ray" and v.name in eng.descent_rays)
+                for v in reach)
+            assert eng.has_right_infinite_path(a) == formula, a
+
+
+def _reference_witness(eng):
+    """The pairwise interval-finiteness search: every infinity source a
+    with an infinite successor set against every b, in order."""
+    w = eng.cycle_witness()
+    if w is not None:
+        return (False, (w.source, w.source), w)
+    for a in eng._infinity_sources():
+        sa = eng.successors(a)
+        if sa.is_finite:
+            continue
+        for b in eng.op()._infinity_sources():
+            if not sa.intersect(eng.predecessors(b)).is_finite:
+                verdict = eng.path_count(a, b)
+                assert not verdict.is_finite
+                return (False, (a, b), verdict.witness)
+    return (True, None, None)
+
+
+NIF2 = (
+    "quiver nif2\nvertex s\nvertex t\nray a domain nat\n"
+    "family f: s -> a[i] for i >= 0\n"
+    "family g: a[i] -> t for i >= 0\n"
+)
+
+
+def _witness_quivers():
+    # 40 acyclic draws: 34 interval finite, 6 with an infinite pair; the
+    # fixtures are interval finite and nif2 has the pair (s, t)
+    rng = random.Random(23)
+    drawn = []
+    while len(drawn) < 40:
+        q = oracle.random_description(rng, f"rnd{len(drawn)}")
+        if regions.oriented_cycle_witness(q) is None:
+            drawn.append(q)
+    return [load_quiver(f"ex{k}") for k in range(1, 6)] + [parse(NIF2)] + drawn
+
+
+@pytest.mark.parametrize("q", _witness_quivers(), ids=lambda q: q.name)
+def test_interval_finite_witness_matches_the_pairwise_search(q):
+    assert RegionEngine(q).interval_finite_witness() == _reference_witness(
+        RegionEngine(q))
+    # one reach from many seeds is the union of their reaches
+    for e in (RegionEngine(q), RegionEngine(q).op()):
+        cands = e._infinity_sources()
+        union = SupportDescription.build()
+        for a in cands:
+            union = union.union(e.successors(a))
+        assert e._succ_support(cands, e._query_radius(*cands)) == union

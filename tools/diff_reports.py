@@ -2,9 +2,12 @@
 
 Every seed-1 and seed-2 ``catalog-cold`` request runs through
 ``fpquiver.cli.main`` in-process, with the engine cache cleared before each
-request, and so does ``classify`` on the scaling shapes the benchmark stops
-short of: far constants C=300 and C=600 (where the cost of the pointwise
-check grows as C squared) and the R=4 and R=5 ``int`` ladders.  Every
+request, and so do the scaling shapes the benchmark stops short of:
+``classify`` on far constants C=300 and C=600 (where the cost of the
+pointwise check grows as C squared) and on the R=4 and R=5 ``int`` ladders,
+``validate`` on the R=5 ladder, and ``validate`` on the R=5 ladder with a
+fan into its first ray and a fan out of its last, which is not interval
+finite through a pair of distinct vertices (exit 3).  Every
 distinct seed-1 and seed-2 ``reps`` build is written out with ``dump_rep``
 followed by its socle and radical dimensions.  Each tree runs
 in its own subprocess with ``PYTHONPATH=<tree>/src``.  The inputs come from
@@ -40,12 +43,30 @@ import checks  # noqa: E402
 import gen  # noqa: E402
 
 SEEDS = (1, 2)
-# (name, description text) of each scaling shape, classified once per tree
+
+
+def fan_ladder_text(rays, name):
+    """An ``int`` ladder with a fan from core s into its first ray and a
+    fan from its last ray into core t, so Q(s, t) is infinite."""
+    text, ids = gen.ladder_text(random.Random(0), rays, 1, "int", name)
+    head, body = text.split("\n", 1)
+    return (f"{head}\nvertex s\nvertex t\n{body}"
+            f"family fs: s -> {ids[0]}[i] for i >= 0\n"
+            f"family ft: {ids[-1]}[i] -> t for i >= 0\n")
+
+
+# (name, subcommand, description text) of each scaling shape, run once per
+# tree
 SCALING = (
-    ("far300", gen.far_text(random.Random(0), 300, "far300")[0]),
-    ("far600", gen.far_text(random.Random(0), 600, "far600")[0]),
-    ("ladder4", gen.ladder_text(random.Random(0), 4, 1, "int", "ladder4")[0]),
-    ("ladder5", gen.ladder_text(random.Random(0), 5, 1, "int", "ladder5")[0]),
+    ("far300", "classify", gen.far_text(random.Random(0), 300, "far300")[0]),
+    ("far600", "classify", gen.far_text(random.Random(0), 600, "far600")[0]),
+    ("ladder4", "classify",
+     gen.ladder_text(random.Random(0), 4, 1, "int", "ladder4")[0]),
+    ("ladder5", "classify",
+     gen.ladder_text(random.Random(0), 5, 1, "int", "ladder5")[0]),
+    ("ladder5", "validate",
+     gen.ladder_text(random.Random(0), 5, 1, "int", "ladder5")[0]),
+    ("fanladder5", "validate", fan_ladder_text(5, "fanladder5")),
 )
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
@@ -66,10 +87,10 @@ def requests(folder):
             if (text, build, where, n) not in builds:
                 builds.add((text, build, where, n))
                 reps.append((f"reps {name}", text, build, where, n))
-    for name, text in SCALING:
+    for name, command, text in SCALING:
         path = pathlib.Path(folder) / f"scaling-{name}.quiver"
         path.write_text(text, encoding="utf-8")
-        catalog.append((f"scaling {name}", ["classify", str(path)]))
+        catalog.append((f"scaling {command} {name}", [command, str(path)]))
     return {"catalog": catalog, "reps": reps}
 
 
