@@ -498,6 +498,13 @@ class SupportDescription:
             },
         )
 
+    def __repr__(self):
+        # the dataclass text with the core names sorted: a set of strings
+        # iterates in an order that changes with the hash seed
+        cores = ", ".join(map(repr, sorted(self.cores)))
+        cores = f"frozenset({{{cores}}})" if cores else "frozenset()"
+        return f"SupportDescription(cores={cores}, ray_parts={self.ray_parts!r})"
+
     def parts_dict(self):
         return dict(self.ray_parts)
 

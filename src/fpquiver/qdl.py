@@ -3,13 +3,18 @@
 A quiver is described by finitely many core vertices, integer-indexed rays
 (domain ``nat`` or ``int``), single arrows between fixed vertices, and arrow
 families indexed by a variable ``i`` whose endpoint templates shift the index
-by a constant.  The instantiated quiver is usually infinite; finite windows of
-it are materialized with :func:`instantiate_window`.
+by a constant.  The instantiated quiver is usually infinite; its finite
+windows come from :func:`instantiate_window`.  A :class:`Window` is a layout:
+vertex positions and arrow numbers are arithmetic in the description (core
+vertices, then one block per ray, then arrows by statement in label order),
+and its ``vertices`` and ``arrows`` tuples are built only when read.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 
 DOMAIN_NAT = "nat"
@@ -282,27 +287,110 @@ class QuiverDescription:
 # windows
 
 
+# Positions and arrow numbers of a window, read off the description: the
+# vertex count, each core vertex's position, each ray block's (first
+# position, lowest index), and per arrow statement with arrows in the
+# window (first arrow number, statement, its indices in the window), in
+# label order.  A family's indices are a range, a single arrow's (None,).
+WindowLayout = namedtuple("WindowLayout", "size cores blocks statements")
+
+
 @dataclass(frozen=True)
 class Window:
-    """A finite truncation: all ray indices with |i| <= radius."""
+    """A finite truncation: all ray indices with |i| <= radius.
+
+    A window is a layout, not a list of objects.  Core vertices come first
+    in declaration order, then one block per ray, in declaration order and
+    by ascending index.  Arrows are numbered by statement in label order (a
+    family's arrows by ascending index), which is the sort by label then
+    index, since labels are unique.  Positions, membership and single
+    arrows (:meth:`arrow`) are computed from the layout; the ``vertices``
+    and ``arrows`` tuples are built on first read, in that order.
+    """
 
     description: QuiverDescription
     radius: int
-    vertices: tuple
-    arrows: tuple
+
+    @property
+    def layout(self):
+        lay = getattr(self, "_layout_cache", None)
+        if lay is None:
+            q, radius = self.description, self.radius
+            cores = {name: k for k, name in enumerate(q.core_vertices)}
+            blocks = {}
+            size = len(cores)
+            for name, dom in q.rays:
+                lo = 0 if dom == DOMAIN_NAT else -radius
+                blocks[name] = (size, lo)
+                size += radius - lo + 1
+            statements = []
+            first = 0
+            for st in sorted(q.arrows + q.families, key=lambda st: st.label):
+                if isinstance(st, ArrowFamily):
+                    indices = st.index_range_in(q, radius)
+                elif q.vertex_in_window(
+                    st.source.resolve(), radius
+                ) and q.vertex_in_window(st.target.resolve(), radius):
+                    indices = (None,)
+                else:
+                    continue
+                if indices:
+                    statements.append((first, st, indices))
+                    first += len(indices)
+            lay = WindowLayout(size, cores, blocks, tuple(statements))
+            object.__setattr__(self, "_layout_cache", lay)
+        return lay
+
+    @property
+    def vertices(self):
+        verts = getattr(self, "_vertex_tuple", None)
+        if verts is None:
+            lay = self.layout
+            verts = [core(name) for name in lay.cores]
+            for name, (_, lo) in lay.blocks.items():
+                verts.extend(ray(name, i) for i in range(lo, self.radius + 1))
+            verts = tuple(verts)
+            object.__setattr__(self, "_vertex_tuple", verts)
+        return verts
+
+    @property
+    def arrows(self):
+        arrows = getattr(self, "_arrow_tuple", None)
+        if arrows is None:
+            arrows = tuple(
+                _instance(st, i)
+                for _, st, indices in self.layout.statements
+                for i in indices
+            )
+            object.__setattr__(self, "_arrow_tuple", arrows)
+        return arrows
+
+    def arrow(self, k):
+        """Arrow number ``k``, built without the other arrows."""
+        statements = self.layout.statements
+        j = bisect_right(statements, k, key=lambda st: st[0]) - 1
+        if k >= 0 and j >= 0:
+            first, st, indices = statements[j]
+            if k - first < len(indices):
+                return _instance(st, indices[k - first])
+        raise IndexError(f"no arrow {k} in Window({self.radius})")
+
+    def _position(self, vref):
+        """The position of ``vref``, or None outside the window."""
+        lay = self.layout
+        if vref.kind == "core":
+            return lay.cores.get(vref.name) if vref.index == 0 else None
+        if vref.kind == "ray":
+            block = lay.blocks.get(vref.name)
+            if block is not None and block[1] <= vref.index <= self.radius:
+                return block[0] + vref.index - block[1]
+        return None
 
     def vertex_index(self, vref):
-        try:
-            return self._vindex()[vref]
-        except KeyError:
+        k = self._position(vref)
+        if k is None:
             raise UnknownIdError(vref.canonical_id())
-
-    def _vindex(self):
-        idx = getattr(self, "_vindex_cache", None)
-        if idx is None:
-            idx = {v: k for k, v in enumerate(self.vertices)}
-            object.__setattr__(self, "_vindex_cache", idx)
-        return idx
+        return k
 
     def arrows_from(self, vref):
         return self._adj()[0].get(vref, ())
@@ -325,33 +413,21 @@ class Window:
         return adj
 
     def contains(self, vref):
-        return vref in self._vindex()
+        return self._position(vref) is not None
+
+
+def _instance(st, i):
+    """The arrow of statement ``st`` at family index ``i`` (None for a
+    single arrow)."""
+    return ArrowRef(st.label, i, st.source.resolve(i), st.target.resolve(i))
 
 
 def instantiate_window(q, radius):
-    """Materialize Window(radius): deterministic vertex and arrow order.
-
-    Core vertices come first in declaration order, then each ray's vertices
-    by ascending index; arrows are sorted by origin label then index.
-    """
+    """Window(radius) of ``q``; see :class:`Window` for its deterministic
+    vertex and arrow order."""
     if radius < 0:
         raise ValueError("window radius must be >= 0")
-    vertices = [core(name) for name in q.core_vertices]
-    for name, dom in q.rays:
-        lo = 0 if dom == DOMAIN_NAT else -radius
-        vertices.extend(ray(name, i) for i in range(lo, radius + 1))
-    arrows = []
-    for a in q.arrows:
-        s, t = a.source.resolve(), a.target.resolve()
-        if q.vertex_in_window(s, radius) and q.vertex_in_window(t, radius):
-            arrows.append(ArrowRef(a.label, None, s, t))
-    for f in q.families:
-        for i in f.index_range_in(q, radius):
-            arrows.append(
-                ArrowRef(f.label, i, f.source.resolve(i), f.target.resolve(i))
-            )
-    arrows.sort(key=ArrowRef.sort_key)
-    return Window(q, radius, tuple(vertices), tuple(arrows))
+    return Window(q, radius)
 
 
 # ---------------------------------------------------------------------------

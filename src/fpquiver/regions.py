@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 from .patterns import (
     Finite,
@@ -39,7 +40,16 @@ from .patterns import (
     TailWitness,
     _flip,
 )
-from .qdl import ArrowRef, DOMAIN_INT, DOMAIN_NAT, Path, VertexRef, instantiate_window, ray
+from .qdl import (
+    ArrowRef,
+    DOMAIN_INT,
+    DOMAIN_NAT,
+    Path,
+    VertexRef,
+    core,
+    instantiate_window,
+    ray,
+)
 
 
 class PreconditionError(Exception):
@@ -118,11 +128,14 @@ class StageResult:
     witness: object = None
 
 
-# (arrow, target) lists by vertex position, a topological order (None on a
-# cycle) and each vertex's level, |index| or 0 at a core vertex.  Window(r)
-# is the induced subgraph on level <= r, in the same vertex and arrow order,
-# so a smaller radius is a level bound on a search, never a new graph.
-_Graph = namedtuple("_Graph", "window out_adj topo trans_out level")
+# (arrow number, target) lists by vertex position, a topological order
+# (None on a cycle), each vertex's level, |index| or 0 at a core vertex, and
+# its ray name (None at a core vertex) and index.  Window(r) is the induced
+# subgraph on level <= r, in the same vertex and arrow order, so a smaller
+# radius is a level bound on a search, never a new graph.
+_Graph = namedtuple(
+    "_Graph", "window out_adj topo trans_out level rays_at index_at"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +230,30 @@ class RegionEngine:
             return g
         old = 0 if g is None else g.window.radius
         w = instantiate_window(self.q, max(radius, 2 * old))
-        n = len(w.vertices)
+        lay = w.layout
+        n = lay.size
+        rays_at = [None] * n
+        index_at = [0] * n
+        for name, (start, lo) in lay.blocks.items():
+            stop = start + w.radius - lo + 1
+            rays_at[start:stop] = [name] * (stop - start)
+            index_at[start:stop] = range(lo, w.radius + 1)
+        # arrows straight from the layout: a statement's arrows are numbered
+        # consecutively, and a templated endpoint walks its ray block
         out_adj = [[] for _ in range(n)]
         trans_out = [[] for _ in range(n)]
-        translation = {f.label for f in self.translation_families}
-        for k, a in enumerate(w.arrows):
-            si = w.vertex_index(a.source)
-            ti = w.vertex_index(a.target)
-            out_adj[si].append((k, ti))
-            if a.label in translation:
-                trans_out[si].append((k, ti))
         indeg = [0] * n
-        for si in range(n):
-            for _, ti in out_adj[si]:
+        for first, st, indices in lay.statements:
+            translation = st.source.is_var and st.target.is_var
+            for k, si, ti in zip(
+                range(first, first + len(indices)),
+                _end_positions(w, st.source, indices),
+                _end_positions(w, st.target, indices),
+            ):
+                e = (k, ti)
+                out_adj[si].append(e)
+                if translation:
+                    trans_out[si].append(e)
                 indeg[ti] += 1
         queue = deque(vi for vi in range(n) if indeg[vi] == 0)
         topo = []
@@ -242,8 +266,10 @@ class RegionEngine:
                     queue.append(ti)
         if len(topo) < n:
             topo = None
-        level = [abs(v.index) if v.kind == "ray" else 0 for v in w.vertices]
-        self._graph = _Graph(w, out_adj, topo, trans_out, level)
+        level = [abs(i) for i in index_at]
+        self._graph = _Graph(
+            w, out_adj, topo, trans_out, level, rays_at, index_at
+        )
         return self._graph
 
     # --- oriented cycles ---------------------------------------------------
@@ -289,18 +315,19 @@ class RegionEngine:
         only the in-window orbit members go in ``seeds``.
         """
         g = self.graph(radius)
-        w = g.window
         seen = _reached(g, seeds, radius)
-        reached = [v for v, hit in zip(w.vertices, seen) if hit]
-        cores = {v.name for v in reached if v.kind == "core"}
+        cores = set()
         ray_data = {name: set() for name in self.q.ray_names()}
-        for v in reached:
-            if v.kind == "ray":
-                ray_data[v.name].add(v.index)
+        for vi in compress(range(len(seen)), seen):
+            name = g.rays_at[vi]
+            if name is None:
+                cores.add(self.q.core_vertices[vi])
+            else:
+                ray_data[name].add(g.index_at[vi])
 
         up_seeds, down_seeds = set(), set()
         for src, fans in self.fan_sources.items():
-            if seen[w.vertex_index(src)]:
+            if seen[g.window.vertex_index(src)]:
                 for f in fans:
                     up_seeds.add(f.target.name)
                     if f.lower is None:
@@ -481,25 +508,14 @@ class RegionEngine:
             and self.q.vertex_in_window(b, radius)
         ):
             return 0
-        return self._count_into(radius, b).get(a, 0)
+        g = self.graph(radius)
+        return _ways(g, radius, b)[g.window.vertex_index(a)]
 
     def _count_into(self, radius, target):
         """Path counts from every Window(radius) vertex into ``target``."""
         g = self.graph(radius)
-        if g.topo is None:
-            raise PreconditionError("path counting requires an acyclic window")
-        w = g.window
-        ti = w.vertex_index(target)
-        ways = [0] * len(w.vertices)
-        ways[ti] = 1
-        for vi in reversed(g.topo):
-            if vi == ti or g.level[vi] > radius:
-                continue
-            total = 0
-            for _, tj in g.out_adj[vi]:
-                total += ways[tj]
-            ways[vi] = total
-        return {w.vertices[vi]: c for vi, c in enumerate(ways) if c}
+        ways = _ways(g, radius, target)
+        return {_vertex_at(g, vi): c for vi, c in enumerate(ways) if c}
 
     def path_count(self, a, b):
         """Finite(n) or Infinite(PathGrowth) for the path space Q(a, b)."""
@@ -532,9 +548,9 @@ class RegionEngine:
         """Configs admitting a right-infinite continuation by themselves."""
         pumps = set(self.upset(radius))
         g = self.graph(radius)
-        for v, lv in zip(g.window.vertices, g.level):
-            if lv <= radius and v.kind == "ray" and v.name in self.descent_rays:
-                pumps.add(v)
+        for vi, (name, lv) in enumerate(zip(g.rays_at, g.level)):
+            if lv <= radius and name in self.descent_rays:
+                pumps.add(_vertex_at(g, vi))
         return pumps
 
     def has_right_infinite_path(self, vref):
@@ -543,8 +559,8 @@ class RegionEngine:
         g = self.graph(radius)
         seen = _reached(g, [vref], radius)
         return any(
-            hit and v.kind == "ray" and v.name in self.descent_rays
-            for v, hit in zip(g.window.vertices, seen)
+            hit and name in self.descent_rays
+            for name, hit in zip(g.rays_at, seen)
         ) or bool(_pumps(g, seen))
 
     def has_left_infinite_path(self, vref):
@@ -918,19 +934,19 @@ class RegionEngine:
         reachd = radius - self.setback - abs(start)
         j2 = start + dirn * stride * (reachd // stride)
         j1 = j2 - dirn * sep
-        t1 = ray(cls.ray, j1)
-        t2 = ray(cls.ray, j2)
-        c1 = self._count_into(radius, t1)
-        c2 = self._count_into(radius, t2)
+        g = self.graph(radius)
+        c1 = _ways(g, radius, ray(cls.ray, j1))
+        c2 = _ways(g, radius, ray(cls.ray, j2))
         # the graph may be wider than ``radius``, but every vertex past
         # nstar < radius is skipped, so no level bound is needed
-        for vref in self.graph(radius).window.vertices:
-            if vref.kind == "ray" and abs(vref.index) > self.nstar:
+        for vi, lv in enumerate(g.level):
+            if lv > self.nstar:
                 continue
-            a = c1.get(vref, 0)
-            b = c2.get(vref, 0)
+            a = c1[vi]
+            b = c2[vi]
             if a == b:
                 continue
+            vref = _vertex_at(g, vi)
             if b > a:
                 return StageResult(
                     False,
@@ -943,13 +959,13 @@ class RegionEngine:
             )
         wlen = self.bound + 2
         z0 = self.c_max + self.bound + 2
-        best = 0
         for name, dom in self.q.rays:
             zones = [range(z0, z0 + 3 * wlen)]
             if dom == DOMAIN_INT:
                 zones.append(range(-z0 - 3 * wlen + 1, -z0 + 1))
             for zone in zones:
-                seq = [c2.get(ray(name, i), 0) for i in zone]
+                # the zones lie inside Window(radius)
+                seq = [c2[g.window.vertex_index(ray(name, i))] for i in zone]
                 ok = any(
                     all(seq[k] == seq[k + p] for k in range(2 * wlen))
                     for p in range(1, wlen + 1)
@@ -969,9 +985,9 @@ class RegionEngine:
                     raise InternalConsistencyError(
                         f"aperiodic tail count profile on ray {name}: {seq}"
                     )
-        for vref, c in c2.items():
-            if vref.kind == "core" or abs(vref.index) <= self.nstar:
-                best = max(best, c)
+        best = max(
+            (c for c, lv in zip(c2, g.level) if lv <= self.nstar), default=0
+        )
         return StageResult(True, detail=best)
 
     def boundary_stage(self, supp):
@@ -991,7 +1007,7 @@ def _reached(g, seeds, radius):
     """Per graph vertex, whether a path in Window(radius) leads to it from
     ``seeds``."""
     w = g.window
-    seen = [False] * len(w.vertices)
+    seen = [False] * len(g.level)
     queue = deque()
     for s in seeds:
         vi = w.vertex_index(s)
@@ -1017,17 +1033,18 @@ def _pumps(g, live):
     keeps, per vertex, the highest index it reaches on each ray."""
     if g.topo is None:
         raise PreconditionError("pump analysis requires an acyclic window")
-    verts = g.window.vertices
+    rays_at, index_at = g.rays_at, g.index_at
     # per vertex, {ray: highest index reached}; a dict is shared with a
     # target whenever the vertex adds nothing to it, and never mutated
-    top = [None] * len(verts)
+    top = [None] * len(rays_at)
     out = set()
     for vi in reversed(g.topo):
         if not live[vi]:
             continue
-        v = verts[vi]
-        if v.kind != "ray":
+        name = rays_at[vi]
+        if name is None:
             continue
+        index = index_at[vi]
         high = None
         for _, ti in g.trans_out[vi]:
             reached = top[ti]
@@ -1037,17 +1054,54 @@ def _pumps(g, live):
                 high = reached
                 continue
             high = dict(high)
-            for name, idx in reached.items():
-                if high.get(name, idx) <= idx:
-                    high[name] = idx
+            for r, idx in reached.items():
+                if high.get(r, idx) <= idx:
+                    high[r] = idx
         if high is None:
-            top[vi] = {v.name: v.index}
-        elif high.get(v.name, v.index) > v.index:
-            out.add(v)
+            top[vi] = {name: index}
+        elif high.get(name, index) > index:
+            out.add(ray(name, index))
             top[vi] = high
         else:
-            top[vi] = {**high, v.name: v.index}
+            top[vi] = {**high, name: index}
     return out
+
+
+def _ways(g, radius, target):
+    """Path counts into ``target`` by vertex position, over Window(radius)
+    (0 at every vertex past ``radius``)."""
+    if g.topo is None:
+        raise PreconditionError("path counting requires an acyclic window")
+    ti = g.window.vertex_index(target)
+    ways = [0] * len(g.level)
+    ways[ti] = 1
+    for vi in reversed(g.topo):
+        if vi == ti or g.level[vi] > radius:
+            continue
+        total = 0
+        for _, tj in g.out_adj[vi]:
+            total += ways[tj]
+        ways[vi] = total
+    return ways
+
+
+def _vertex_at(g, vi):
+    """The vertex at position ``vi`` of the graph's window."""
+    name = g.rays_at[vi]
+    if name is None:
+        return core(g.window.description.core_vertices[vi])
+    return ray(name, g.index_at[vi])
+
+
+def _end_positions(w, ep, indices):
+    """Window positions of endpoint ``ep`` over the arrows of a statement
+    with these family ``indices``: consecutive along the ray block for a
+    templated index, else one fixed vertex."""
+    if ep.is_var:
+        start, lo = w.layout.blocks[ep.name]
+        first = start + ep.shift + indices.start - lo
+        return range(first, first + len(indices))
+    return repeat(w.vertex_index(ep.resolve()), len(indices))
 
 
 def _reach(nodes, edges):
@@ -1170,7 +1224,7 @@ def _window_cycle(g, radius):
     """
     w = g.window
     color = [2 if lv > radius else 0 for lv in g.level]
-    for root in range(len(w.vertices)):
+    for root in range(len(color)):
         if color[root]:
             continue
         color[root] = 1
@@ -1186,7 +1240,7 @@ def _window_cycle(g, radius):
                 if color[ti] == 1:
                     on_path = [f[0] for f in frames]
                     tree = [f[2] for f in frames[on_path.index(ti) + 1 :]]
-                    cyc = [w.arrows[kk] for kk in tree + [k]]
+                    cyc = [w.arrow(kk) for kk in tree + [k]]
                     return Path(cyc[0].source, tuple(cyc))
             else:
                 color[vi] = 2

@@ -1,6 +1,9 @@
 """Command-line interface: report formats and the exit-code contract."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -177,3 +180,26 @@ def test_reports_are_deterministic(capsys, args):
     second = run(capsys, cmd, file, *rest)
     assert first == second
     assert first[0] == 0
+
+
+def test_exit_3_witness_does_not_depend_on_the_hash_seed(tmp_path):
+    # the witness of Q(s, t) spells its meet, whose core names form a set
+    # of strings; seeds 0 and 1 iterate {'s', 't'} in opposite orders
+    path = tmp_path / "nif2.quiver"
+    path.write_text(
+        "quiver nif2\nvertex s\nvertex t\nray a domain nat\n"
+        "family f: s -> a[i] for i >= 0\n"
+        "family g: a[i] -> t for i >= 0\n",
+        encoding="utf-8",
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fpquiver", "validate", str(path)],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 3, proc.stderr
+        outs.append(proc.stdout)
+    assert "cores=frozenset({'s', 't'})" in outs[0]
+    assert outs[0] == outs[1]

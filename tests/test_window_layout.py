@@ -1,12 +1,15 @@
 """Window layout: positions, membership and arrows against an eager
-instantiation of the same window."""
+instantiation of the same window, the engine graph against the arrows it is
+read from, and the vertex and arrow tuples left unbuilt where nothing reads
+them."""
 
 import random
+from collections import deque
 
 import pytest
 
 from conftest import load_quiver
-from fpquiver import oracle
+from fpquiver import cli, oracle, regions
 from fpquiver.qdl import (
     DOMAIN_NAT,
     ArrowRef,
@@ -107,3 +110,101 @@ def test_window_matches_an_eager_instantiation(q):
                 w.vertex_index(v)
         assert w == instantiate_window(q, r)
         assert hash(w) == hash(instantiate_window(q, r))
+
+
+@pytest.mark.parametrize("q", _layout_quivers(), ids=lambda q: q.name)
+def test_single_arrows_and_the_engine_graph_read_the_layout(q):
+    for r in _radii(q):
+        _, arrows = _eager_window(q, r)
+        w = instantiate_window(q, r)
+        # arrow(k) on a window whose arrow tuple is not built yet
+        assert [w.arrow(k) for k in range(len(arrows))] == list(arrows)
+        with pytest.raises(IndexError):
+            w.arrow(len(arrows))
+        assert all(w.arrow(k) == a for k, a in enumerate(w.arrows))
+        # the engine graph against one derived from the materialized arrows
+        g = RegionEngine(q).graph(r)
+        gw = g.window
+        assert gw.radius == r
+        n = len(gw.vertices)
+        translation = {
+            f.label for f in q.families if f.source.is_var and f.target.is_var
+        }
+        out_adj = [[] for _ in range(n)]
+        trans_out = [[] for _ in range(n)]
+        for k, a in enumerate(gw.arrows):
+            si, ti = gw.vertex_index(a.source), gw.vertex_index(a.target)
+            out_adj[si].append((k, ti))
+            if a.label in translation:
+                trans_out[si].append((k, ti))
+        assert g.out_adj == out_adj
+        assert g.trans_out == trans_out
+        assert g.topo == _kahn(out_adj)
+        assert g.level == [
+            abs(v.index) if v.kind == "ray" else 0 for v in gw.vertices
+        ]
+        assert g.rays_at == [
+            v.name if v.kind == "ray" else None for v in gw.vertices
+        ]
+        assert g.index_at == [v.index for v in gw.vertices]
+
+
+def _kahn(out_adj):
+    """Kahn's topological order seeded in position order, or None."""
+    indeg = [0] * len(out_adj)
+    for edges in out_adj:
+        for _, ti in edges:
+            indeg[ti] += 1
+    queue = deque(vi for vi, d in enumerate(indeg) if d == 0)
+    order = []
+    while queue:
+        vi = queue.popleft()
+        order.append(vi)
+        for _, ti in out_adj[vi]:
+            indeg[ti] -= 1
+            if indeg[ti] == 0:
+                queue.append(ti)
+    return order if len(order) == len(out_adj) else None
+
+
+def _tuples_built(w):
+    return {"_vertex_tuple", "_arrow_tuple"} & set(vars(w))
+
+
+FAR145 = (
+    "quiver lazyfar\nray a domain nat\nray b domain nat\n"
+    "family fa: a[i] -> a[i+1] for i >= 0\n"
+    "family fb: b[i] -> b[i+1] for i >= 0\n"
+    "arrow g: a[145] -> b[0]\n"
+)
+
+# a fragment whose window holds the cycle r0[-1] -> ... -> r0[2] -> r0[-1]
+CYCLE = (
+    "quiver lazycycle\nvertex c0\nray r0 domain int\n"
+    "family f0: r0[i] -> r0[i+1] for all i\n"
+    "arrow g0: r0[2] -> r0[-1]\n"
+)
+
+
+@pytest.mark.parametrize("text, code, witness", [
+    (FAR145, 0, None),
+    (CYCLE, 3, "witness: <r:r0:-1|f0@-1.f0@0.f0@1.g0>"),
+])
+def test_validate_builds_no_window_tuples(tmp_path, capsys, text, code,
+                                          witness):
+    q = parse(text)
+    regions._ENGINES.pop(q, None)
+    regions._ENGINES.pop(q.opposite(), None)
+    path = tmp_path / "q.quiver"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == code
+    if witness is not None:
+        assert witness in capsys.readouterr().out.splitlines()
+    eng = regions.engine_for(q)
+    # the far quiver is decided by a reach on each side, the cycle before any
+    engines = [eng, eng._op_engine] if code == 0 else [eng]
+    for e in engines:
+        w = e._graph.window
+        assert not _tuples_built(w), e.q.name
+        assert w.vertices and w.arrows
+        assert _tuples_built(w) == {"_vertex_tuple", "_arrow_tuple"}

@@ -10,9 +10,12 @@ fan into its first ray and a fan out of its last, which is not interval
 finite through a pair of distinct vertices (exit 3).  Every
 distinct seed-1 and seed-2 ``reps`` build is written out with ``dump_rep``
 followed by its socle and radical dimensions.  Each tree runs
-in its own subprocess with ``PYTHONPATH=<tree>/src``.  The inputs come from
-this tree's ``perfbench/gen.py`` and ``checks.build_rep``, imported without
-writing bytecode, so both trees see the same requests.
+in its own subprocess with ``PYTHONPATH=<tree>/src`` and the same
+``PYTHONHASHSEED``, so that text which iterates a set of strings comes out
+in the same order on both sides and a difference means the trees differ.
+The inputs come from this tree's ``perfbench/gen.py`` and
+``checks.build_rep``, imported without writing bytecode, so both trees see
+the same requests.
 
 Run from the repository root, with a checkout of the commit to compare
 against (``git worktree add``, or ``git archive`` unpacked elsewhere):
@@ -43,6 +46,7 @@ import checks  # noqa: E402
 import gen  # noqa: E402
 
 SEEDS = (1, 2)
+HASH_SEED = "0"  # PYTHONHASHSEED of both tree subprocesses
 
 
 def fan_ladder_text(rays, name):
@@ -133,7 +137,7 @@ def run_trees(trees, folder):
     for k, tree in enumerate(trees):
         out = pathlib.Path(folder) / f"out-{k}.json"
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tree) / "src"),
-                   PYTHONDONTWRITEBYTECODE="1")
+                   PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED=HASH_SEED)
         argv = [sys.executable, __file__, "--collect", str(tree), str(spec),
                 str(out)]
         procs.append((subprocess.Popen(argv, env=env), out))
