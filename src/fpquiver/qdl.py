@@ -156,9 +156,6 @@ class ArrowRef:
             return self.label
         return f"{self.label}@{self.index}"
 
-    def sort_key(self):
-        return (self.label, self.index if self.index is not None else 0)
-
     def __repr__(self):
         return self.canonical_id()
 

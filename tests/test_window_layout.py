@@ -41,7 +41,7 @@ def _eager_window(q, radius):
             arrows.append(
                 ArrowRef(f.label, i, f.source.resolve(i), f.target.resolve(i))
             )
-    arrows.sort(key=ArrowRef.sort_key)
+    arrows.sort(key=lambda a: (a.label, 0 if a.index is None else a.index))
     return tuple(vertices), tuple(arrows)
 
 
