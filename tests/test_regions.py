@@ -10,7 +10,7 @@ from conftest import load_quiver
 from fpquiver import cli, oracle, regions
 from fpquiver.classify import classify
 from fpquiver.patterns import Finite, Infinite, SupportDescription
-from fpquiver.qdl import core, instantiate_window, parse, ray
+from fpquiver.qdl import ArrowRef, Path, core, instantiate_window, parse, ray
 from fpquiver.regions import NotIntervalFinite, RegionEngine, TailClass, engine_for
 
 
@@ -524,3 +524,115 @@ def test_interval_finite_witness_matches_the_pairwise_search(q):
         for a in cands:
             union = union.union(e.successors(a))
         assert e._succ_support(cands, e._query_radius(*cands)) == union
+
+
+# templates of translation families: a gain-0 self-loop, a sign mix that
+# only a two-ray cycle closes, a four-ray cycle of gain 0 and one of gain
+# +1, guarded families, and a ray that meets a gain-0 loop only through a
+# rung of gain 1 (declared first, so its search runs first)
+CYCLE_TEMPLATES = (
+    "quiver loop0\nray a domain int\nfamily z: a[i] -> a[i] for all i\n",
+    "quiver mix24\nray a domain int\nray b domain int\n"
+    "family p: a[i] -> a[i+2] for all i\n"
+    "family m: b[i+4] -> b[i] for all i\n"
+    "family x: a[i] -> b[i+1] for all i\n"
+    "family y: b[i] -> a[i] for all i\n",
+    "quiver four0\nray a domain int\nray b domain int\nray c domain int\n"
+    "ray d domain int\n"
+    "family ab: a[i] -> b[i+1] for all i\nfamily bc: b[i] -> c[i+1] for all i\n"
+    "family cd: c[i] -> d[i+1] for all i\nfamily da: d[i+3] -> a[i] for all i\n",
+    "quiver four1\nray a domain nat\nray b domain nat\nray c domain nat\n"
+    "ray d domain nat\n"
+    "family ab: a[i] -> b[i+1] for i >= 0\nfamily bc: b[i] -> c[i+1] for i >= 0\n"
+    "family cd: c[i] -> d[i+1] for i >= 0\nfamily da: d[i+2] -> a[i] for i >= 0\n"
+    "family aa: a[i] -> a[i+2] for i >= 0\n",
+    "quiver guarded0\nray a domain nat\nray b domain nat\n"
+    "family f: a[i] -> b[i+1] for i >= 3\n"
+    "family g: b[i+1] -> a[i] for i >= 5\n",
+    "quiver guarded1\nray a domain nat\nray b domain int\n"
+    "family f: a[i] -> b[i+1] for i >= 3\n"
+    "family g: b[i+2] -> a[i] for i >= 5\n"
+    "family h: b[i] -> b[i+2] for i >= 1\n",
+    "quiver rung1\nray b domain int\nray a domain int\n"
+    "family z: a[i] -> a[i] for all i\n"
+    "family up: a[i] -> b[i+1] for all i\n"
+    "family back: b[i] -> a[i] for all i\n",
+)
+
+
+def _reference_cycle(eng, window=True):
+    """The window's cycle, else a (ray, gain) search from every ray in
+    declaration order over all translation families, with gains bounded
+    by ``l_max``; the first closed walk of gain 0 is lifted to base index
+    ``c_max + l_max + max_shift + 2``."""
+    q = eng.q
+    if window:
+        g = eng.graph(eng.base_radius)
+        if g.topo is None:
+            cyc = regions._window_cycle(g, eng.base_radius)
+            if cyc is not None:
+                return cyc
+    fams = eng.translation_families
+    if not fams:
+        return None
+    l_max = 4 * max(1, len(q.rays) * q.max_shift() * len(fams)) ** 2 + 8
+    for r0 in q.ray_names():
+        start = (r0, 0)
+        parent = {start: None}
+        queue = deque([start])
+        found = None
+        while queue and found is None:
+            state = queue.popleft()
+            for f in fams:
+                if f.source.name != state[0]:
+                    continue
+                nxt = (f.target.name, state[1] + f.target.shift - f.source.shift)
+                if nxt == start:
+                    found = (state, f)
+                    break
+                if abs(nxt[1]) > l_max or nxt in parent:
+                    continue
+                parent[nxt] = (state, f)
+                queue.append(nxt)
+        if found is None:
+            continue
+        walk = [found[1]]
+        state = found[0]
+        while parent[state] is not None:
+            state, f = parent[state]
+            walk.append(f)
+        walk.reverse()
+        cur = base = eng.c_max + l_max + q.max_shift() + 2
+        arrows = []
+        for f in walk:
+            i = cur - f.source.shift
+            arrows.append(
+                ArrowRef(f.label, i, f.source.resolve(i), f.target.resolve(i)))
+            cur = i + f.target.shift
+        return Path(ray(r0, base), tuple(arrows))
+    return None
+
+
+def _cycle_quivers():
+    rng = random.Random(29)
+    return (
+        [load_quiver(f"ex{k}") for k in range(1, 6)]
+        + [load_quiver("cycle"), parse(LADDER2), parse(REENTER),
+           parse(STRIDE3)]
+        + [parse(text) for text in CYCLE_TEMPLATES]
+        + [oracle.random_description(rng, f"rnd{k}") for k in range(60)]
+    )
+
+
+@pytest.mark.parametrize("q", _cycle_quivers(), ids=lambda q: q.name)
+def test_cycle_witness_matches_the_search_from_every_ray(q, monkeypatch):
+    wit = RegionEngine(q).cycle_witness()
+    assert wit == _reference_cycle(RegionEngine(q))
+    if wit is not None:
+        assert wit.source == wit.target and wit.is_composable()
+    # without the window's cycle, the (ray, gain) search names the witness
+    monkeypatch.setattr(regions, "_window_cycle", lambda g, radius: None)
+    wit = RegionEngine(q).cycle_witness()
+    assert wit == _reference_cycle(RegionEngine(q), window=False)
+    if wit is not None:
+        assert wit.source == wit.target and wit.is_composable()
