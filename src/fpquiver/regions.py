@@ -16,10 +16,12 @@ infinite quiver:
   of every config that may have an infinite predecessor set.  Only when
   that meet is infinite are single configs and then pairs tried, to name a
   pair (a, b) with Q(a, b) infinite;
-* oriented cycles are found either through an anchor vertex (bounded search)
-  or as a zero-gain closed walk of translation families (exact gain-bounded
-  BFS over (ray, gain) states — a strongly connected mix of signs is *not*
-  enough, so we never shortcut this).
+* oriented cycles are found either in the window or as a closed walk of
+  translation families of gain 0.  Which rays lie on such a walk is decided
+  on the translation template, the ray graph with integer gains: in a
+  strongly connected piece with a cycle of each strict sign every ray does,
+  since the gains of the closed walks through a ray add up.  A gain-bounded
+  BFS over (ray, gain) states runs only from those rays, to spell the walk.
 
 Any mismatch between a flag and the window data raises
 :class:`~fpquiver.patterns.InternalConsistencyError` rather than guessing.
@@ -297,7 +299,7 @@ class RegionEngine:
         config through translation arrows only (hence pump upward forever).
 
         The mask ``level <= radius`` is closed under every translation arrow
-        into Window(radius), as :func:`_pumps` needs."""
+        into Window(radius), as :func:`_pump_positions` needs."""
         if self._upset is not None and self._upset[0] == radius:
             return self._upset[1]
         g = self.graph(radius)
@@ -334,8 +336,8 @@ class RegionEngine:
                         down_seeds.add(f.target.name)
         # the reach set is closed under the translation arrows of
         # Window(radius), so its pumps are upset(radius) within it
-        for v in _pumps(g, seen):
-            up_seeds.add(v.name)
+        for vi in _pump_positions(g, seen):
+            up_seeds.add(g.rays_at[vi])
         if seed_tails:
             for name, iset in seed_tails.items():
                 if iset.up is not None:
@@ -561,7 +563,7 @@ class RegionEngine:
         return any(
             hit and name in self.descent_rays
             for name, hit in zip(g.rays_at, seen)
-        ) or bool(_pumps(g, seen))
+        ) or bool(_pump_positions(g, seen))
 
     def has_left_infinite_path(self, vref):
         return self.op().has_right_infinite_path(vref)
@@ -1024,8 +1026,14 @@ def _reached(g, seeds, radius):
 
 
 def _pumps(g, live):
-    """Ray vertices of ``live`` (a per-vertex mask) from which translation
-    arrows through ``live`` lead to a higher index on their own ray.
+    """The vertices at :func:`_pump_positions`."""
+    return {_vertex_at(g, vi) for vi in _pump_positions(g, live)}
+
+
+def _pump_positions(g, live):
+    """Positions of the ray vertices of ``live`` (a per-vertex mask) from
+    which translation arrows through ``live`` lead to a higher index on
+    their own ray.
 
     ``live`` must be closed under the translation arrows that stay in the
     window being asked about (level <= radius): then a vertex's answer is
@@ -1037,7 +1045,7 @@ def _pumps(g, live):
     # per vertex, {ray: highest index reached}; a dict is shared with a
     # target whenever the vertex adds nothing to it, and never mutated
     top = [None] * len(rays_at)
-    out = set()
+    out = []
     for vi in reversed(g.topo):
         if not live[vi]:
             continue
@@ -1060,7 +1068,7 @@ def _pumps(g, live):
         if high is None:
             top[vi] = {name: index}
         elif high.get(name, index) > index:
-            out.add(ray(name, index))
+            out.append(vi)
             top[vi] = high
         else:
             top[vi] = {**high, name: index}
@@ -1156,7 +1164,83 @@ def _simple_cycles(nodes, edges):
     return [(sum(e[3] for e in cyc), tuple(cyc)) for cyc in cycles]
 
 
+def _potentials(nodes, edges, sign):
+    """Shortest distances under ``sign * gain`` along ``edges`` (source,
+    target, gain) from a virtual source joined to every node at 0
+    (Bellman-Ford), or None when a cycle has ``sign * gain < 0``."""
+    dist = dict.fromkeys(nodes, 0)
+    for _ in range(len(dist) + 1):
+        changed = False
+        for u, v, gain in edges:
+            if dist[u] + sign * gain < dist[v]:
+                dist[v] = dist[u] + sign * gain
+                changed = True
+        if not changed:
+            return dist
+    return None
+
+
+def _zero_gain_rays(nodes, edges):
+    """The rays on a closed walk of gain 0 along template ``edges`` (label,
+    source, target, gain).
+
+    The gains of the closed walks through a ray form an additive semigroup:
+    a walk of gain a > 0 taken |b| times and one of gain b < 0 taken a
+    times make a walk of gain 0.  Within a strongly connected component, a
+    cycle of gain < 0 anywhere gives every ray of it a closed walk of gain
+    < 0 (go round that cycle often enough), and likewise for > 0; so when
+    the component has a cycle of each strict sign, all its rays qualify.
+    Otherwise, say no cycle has gain < 0.  The Bellman-Ford distances p
+    make every reduced gain ``gain + p(u) - p(v)`` nonnegative and keep
+    the gain of each closed walk, so a closed walk of gain 0 uses only
+    edges of reduced gain 0: a ray qualifies exactly when it lies on a
+    cycle of those.  With the signs swapped, likewise.  A component of
+    cycles of gain 0 only is the case where every edge has reduced gain 0.
+
+    This is the zero-cycle test of Iwano & Steiglitz, "Testing for cycles
+    in infinite graphs with periodic structure" (STOC 1987), run on the
+    one-dimensional quotient graph: a few Bellman-Ford passes per
+    component, where listing simple cycles (:func:`_simple_cycles`) can
+    take exponential time."""
+    comp = _scc_ids(nodes, edges)
+    out = set()
+    for c in set(comp.values()):
+        rays = [r for r in nodes if comp[r] == c]
+        inner = [(u, v, gain) for _, u, v, gain in edges
+                 if comp[u] == c == comp[v]]
+        up = _potentials(rays, inner, 1)
+        down = _potentials(rays, inner, -1)
+        if up is None and down is None:
+            out.update(rays)
+            continue
+        sign, pot = (1, up) if up is not None else (-1, down)
+        tight = [(None, u, v, 0) for u, v, gain in inner
+                 if pot[u] + sign * gain == pot[v]]
+        tcomp = _scc_ids(rays, tight)
+        out.update(u for _, u, v, _ in tight if tcomp[u] == tcomp[v])
+    return out
+
+
 def _find_cycle(eng):
+    """A cycle of the quiver as a Path, or None when it is acyclic.
+
+    A cycle in Window(base_radius) is returned as the window search finds
+    it.  When that window is acyclic, a cycle can only be a closed walk of
+    translation families of gain 0: guards are lower bounds, so such a
+    walk goes round at any base index high enough.  :func:`_zero_gain_rays`
+    decides on the template which rays lie on one.  From the first of them
+    in declaration order, a BFS over (ray, gain) states with |gain| <=
+    l_max, along the template edges inside that ray's strongly connected
+    component, spells the first walk that returns, and it is lifted at
+    base index ``c_max + l_max + max_shift + 2``.  A BFS from an earlier
+    ray would not return, and dropping the edges that leave the component
+    changes neither the BFS order of the states that can return nor their
+    parents, so the witness is the one a search from every ray over every
+    edge finds.  When the BFS does not close the walk within l_max it
+    raises InternalConsistencyError, so each side checks the other.  See
+    Iwano & Steiglitz (STOC 1987) and Cohen & Megiddo, "Recognizing
+    properties of periodic graphs" (1991).
+    """
     q = eng.q
     radius = eng.base_radius
     g = eng.graph(radius)
@@ -1164,55 +1248,60 @@ def _find_cycle(eng):
         cyc = _window_cycle(g, radius)
         if cyc is not None:
             return cyc
-    # anchored cycles would appear in Window(radius), which is acyclic
-    # here, so only zero-gain translation walks remain
-    edges = eng.translation_families
-    if not edges:
+    names = q.ray_names()
+    rays = _zero_gain_rays(names, eng.full_template)
+    if not rays:
         return None
+    comp = _scc_ids(names, eng.full_template)
+    edges = eng.translation_families
     e_t = len(edges)
     l_max = 4 * max(1, len(q.rays) * q.max_shift() * e_t) ** 2 + 8
+    r0 = next(r for r in names if r in rays)
     trans = [
-        (f, f.target.shift - f.source.shift) for f in edges
+        (f, gn)
+        for f, (_, u, v, gn) in zip(edges, eng.full_template)
+        if comp[u] == comp[v] == comp[r0]
     ]
-    for r0 in q.ray_names():
-        start = (r0, 0)
-        parent = {start: None}
-        queue = deque([start])
-        found = None
-        while queue and found is None:
-            state = queue.popleft()
-            rname, gval = state
-            for f, gn in trans:
-                if f.source.name != rname:
-                    continue
-                nxt = (f.target.name, gval + gn)
-                if nxt == start:
-                    found = (state, f)
-                    break
-                if abs(nxt[1]) > l_max or nxt in parent:
-                    continue
-                parent[nxt] = (state, f)
-                queue.append(nxt)
-        if found is None:
-            continue
-        fams = [found[1]]
-        state = found[0]
-        while parent[state] is not None:
-            prev, f = parent[state]
-            fams.append(f)
-            state = prev
-        fams.reverse()
-        base = eng.c_max + l_max + q.max_shift() + 2
-        cur = base
-        arrows = []
-        for f in fams:
-            i = cur - f.source.shift
-            arrows.append(
-                ArrowRef(f.label, i, f.source.resolve(i), f.target.resolve(i))
-            )
-            cur = i + f.target.shift
-        return Path(ray(r0, base), tuple(arrows))
-    return None
+    start = (r0, 0)
+    parent = {start: None}
+    queue = deque([start])
+    found = None
+    while queue and found is None:
+        state = queue.popleft()
+        rname, gval = state
+        for f, gn in trans:
+            if f.source.name != rname:
+                continue
+            nxt = (f.target.name, gval + gn)
+            if nxt == start:
+                found = (state, f)
+                break
+            if abs(nxt[1]) > l_max or nxt in parent:
+                continue
+            parent[nxt] = (state, f)
+            queue.append(nxt)
+    if found is None:
+        raise InternalConsistencyError(
+            f"ray {r0} lies on a closed walk of gain 0 in the "
+            f"translation template, but none with |gain| <= {l_max}"
+        )
+    fams = [found[1]]
+    state = found[0]
+    while parent[state] is not None:
+        prev, f = parent[state]
+        fams.append(f)
+        state = prev
+    fams.reverse()
+    base = eng.c_max + l_max + q.max_shift() + 2
+    cur = base
+    arrows = []
+    for f in fams:
+        i = cur - f.source.shift
+        arrows.append(
+            ArrowRef(f.label, i, f.source.resolve(i), f.target.resolve(i))
+        )
+        cur = i + f.target.shift
+    return Path(ray(r0, base), tuple(arrows))
 
 
 def _window_cycle(g, radius):

@@ -9,7 +9,12 @@ import pytest
 from conftest import load_quiver
 from fpquiver import cli, oracle, regions
 from fpquiver.classify import classify
-from fpquiver.patterns import Finite, Infinite, SupportDescription
+from fpquiver.patterns import (
+    Finite,
+    Infinite,
+    InternalConsistencyError,
+    SupportDescription,
+)
 from fpquiver.qdl import ArrowRef, Path, core, instantiate_window, parse, ray
 from fpquiver.regions import NotIntervalFinite, RegionEngine, TailClass, engine_for
 
@@ -636,3 +641,88 @@ def test_cycle_witness_matches_the_search_from_every_ray(q, monkeypatch):
     assert wit == _reference_cycle(RegionEngine(q), window=False)
     if wit is not None:
         assert wit.source == wit.target and wit.is_composable()
+
+
+def _brute_zero_gain_rays(nodes, edges, bound=240):
+    """Rays from which a BFS over (ray, gain) states with |gain| <= bound
+    returns to (ray, 0) along ``edges``."""
+    out = set()
+    for r in nodes:
+        start = (r, 0)
+        seen = {start}
+        queue = deque(seen)
+        while queue and r not in out:
+            at, gain = queue.popleft()
+            for _, u, v, g in edges:
+                nxt = (v, gain + g)
+                if u != at or abs(nxt[1]) > bound:
+                    continue
+                if nxt == start:
+                    out.add(r)
+                    break
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return out
+
+
+def _edges(*specs):
+    return tuple((f"e{k}", u, v, g) for k, (u, v, g) in enumerate(specs))
+
+
+# templates with rays a-d: three- and four-ray components, gain-0
+# self-loops, self-loops +2 and -4 that only rungs of gain 1 and 0 join,
+# zero-gain cycles beside positive ones, and several components at once
+HAND_TEMPLATES = (
+    _edges(("a", "a", 0)),
+    _edges(("a", "a", 2)),
+    _edges(("a", "a", 2), ("b", "b", -4), ("a", "b", 1), ("b", "a", 0)),
+    _edges(("a", "a", 2), ("b", "b", -4)),
+    _edges(("a", "a", 2), ("b", "b", -4), ("a", "b", 1)),
+    _edges(("a", "b", 1), ("b", "c", 1), ("c", "a", -2)),
+    _edges(("a", "b", 1), ("b", "c", 1), ("c", "a", -1)),
+    _edges(("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", -3)),
+    _edges(("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "a", -2),
+           ("c", "a", -3)),
+    _edges(("a", "b", 1), ("b", "a", 0), ("b", "c", 0), ("c", "b", 0)),
+    _edges(("a", "a", 0), ("a", "b", 1), ("b", "a", 0)),
+    _edges(("a", "a", 0), ("a", "b", -1), ("b", "a", 0)),
+    _edges(("a", "b", 1), ("b", "a", -1), ("a", "a", 3)),
+    _edges(("a", "b", 2), ("b", "a", -1), ("c", "d", 1), ("d", "c", 0),
+           ("d", "d", -2), ("b", "c", 0)),
+)
+
+
+def _templates():
+    rng = random.Random(31)
+    out = [pytest.param("abcd", edges, id=f"hand{k}")
+           for k, edges in enumerate(HAND_TEMPLATES)]
+    # the engine's templates, guarded families included
+    for text in CYCLE_TEMPLATES:
+        q = parse(text)
+        out.append(pytest.param(q.ray_names(), RegionEngine(q).full_template,
+                                id=q.name))
+    for k in range(150):
+        nodes = "abcd"[: rng.randint(1, 4)]
+        edges = _edges(*(
+            (rng.choice(nodes), rng.choice(nodes), rng.randint(-4, 4))
+            for _ in range(rng.randint(1, 6))))
+        out.append(pytest.param(nodes, edges, id=f"rnd{k}"))
+    return out
+
+
+@pytest.mark.parametrize("nodes, edges", _templates())
+def test_zero_gain_rays_match_a_gain_bounded_search(nodes, edges):
+    assert regions._zero_gain_rays(nodes, edges) == _brute_zero_gain_rays(
+        nodes, edges)
+
+
+def test_cycle_search_checks_the_template_test(monkeypatch):
+    # a ladder with no cycle: a ray the template test wrongly accepted
+    # would send the (ray, gain) search through its whole space in vain
+    q = parse(LADDER2)
+    assert RegionEngine(q).cycle_witness() is None
+    monkeypatch.setattr(regions, "_zero_gain_rays",
+                        lambda nodes, edges: {nodes[-1]})
+    with pytest.raises(InternalConsistencyError, match="gain 0"):
+        RegionEngine(q).cycle_witness()

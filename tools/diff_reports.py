@@ -5,9 +5,11 @@ Every seed-1 and seed-2 ``catalog-cold`` request runs through
 request, and so do the scaling shapes the benchmark stops short of:
 ``classify`` on far constants C=300 and C=600 (where the cost of the
 pointwise check grows as C squared) and on the R=4 and R=5 ``int`` ladders,
-``validate`` on the R=5 ladder, and ``validate`` on the R=5 ladder with a
+``validate`` on the R=5 ladder, ``validate`` on the R=5 ladder with a
 fan into its first ray and a fan out of its last, which is not interval
-finite through a pair of distinct vertices (exit 3).  Every
+finite through a pair of distinct vertices (exit 3), and ``validate`` on
+the R=6 shift-1 ``nat`` ladder and the R=5 shift-2 ``int`` ladder, two
+acyclic inputs with a large (ray, gain) space for the cycle search.  Every
 distinct seed-1 and seed-2 ``reps`` build is written out with ``dump_rep``
 followed by its socle and radical dimensions.  Each tree runs
 in its own subprocess with ``PYTHONPATH=<tree>/src`` and the same
@@ -71,6 +73,10 @@ SCALING = (
     ("ladder5", "validate",
      gen.ladder_text(random.Random(0), 5, 1, "int", "ladder5")[0]),
     ("fanladder5", "validate", fan_ladder_text(5, "fanladder5")),
+    ("ladder6nat", "validate",
+     gen.ladder_text(random.Random(0), 6, 1, "nat", "ladder6nat")[0]),
+    ("ladder5s2", "validate",
+     gen.ladder_text(random.Random(0), 5, 2, "int", "ladder5s2")[0]),
 )
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
