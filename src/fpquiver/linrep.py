@@ -6,6 +6,12 @@ one instantiated window.  The standard objects are built here: projectives
 vertex) and tail-class limits (stabilized path spaces into a far tail
 checkpoint).  All entries are Fractions, so the rank arguments behind the
 surjectivity and bijectivity checks are exact.
+
+Each path basis is built once, each path carried as its arrow-id tuple next
+to its arrows: the tuples order the basis (as ``Path.sort_key`` does), index
+the rows and columns of the 0/1 arrow maps and spell the basis labels (as
+``Path.describe`` does), so no arrow id is recomputed per path.  The maps
+stay dense ``Fraction`` grids, the layout the benchmark's tracer reads.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +19,7 @@ from fractions import Fraction
 
 from . import ratmat, regions
 from .patterns import InternalConsistencyError
-from .qdl import Path, VertexRef, instantiate_window, ray
+from .qdl import Path, VertexRef, describe_path, instantiate_window, ray
 from .regions import PreconditionError
 
 
@@ -60,10 +66,8 @@ class RepWindow:
         m = self.maps.get(key)
         if m is not None:
             return m
-        for a in self.window.arrows:
-            if a.canonical_id() == key:
-                return ratmat.zeros(self.dim(a.target), self.dim(a.source))
-        raise KeyError(key)
+        a = self.window.arrow_by_id(key)
+        return ratmat.zeros(self.dim(a.target), self.dim(a.source))
 
     def labels(self, vref):
         return self.basis_labels.get(vref, tuple(range(self.dim(vref))))
@@ -129,34 +133,41 @@ class MorphismWindow:
 
 def _path_basis(window, a, reverse=False):
     """All window paths out of ``a`` (or into it, if reverse), grouped by
-    the other endpoint and sorted by (length, arrow labels)."""
+    the other endpoint, as (arrow ids, arrows) pairs in path order.
+
+    The search reads each arrow's canonical id once, into one step list per
+    vertex, and carries the id tuple next to the arrows.  A vertex's paths
+    are sorted by (length, ids), the order of ``Path.sort_key``; they share
+    both endpoints, so the ids name one.  No ``Path`` is built here.
+    """
     adj = window.arrows_into if reverse else window.arrows_from
-    out = {a: [Path(a, ())]}
-    stack = [(a, ())]
-    limit = len(window.vertices)
+    steps = {}
+    out = {a: [((), ())]}
+    stack = [(a, (), ())]
+    limit = window.layout.size
     while stack:
-        v, arrows = stack.pop()
-        for ar in adj(v):
-            w = ar.source if reverse else ar.target
-            new = arrows + (ar,)
-            if len(new) > limit:
-                raise PreconditionError("window graph is not acyclic")
-            p = Path(w, tuple(reversed(new))) if reverse else Path(a, new)
-            out.setdefault(w, []).append(p)
-            stack.append((w, new))
-    for v in out:
-        out[v].sort(key=Path.sort_key)
+        v, ids, arrows = stack.pop()
+        vsteps = steps.get(v)
+        if vsteps is None:
+            vsteps = steps[v] = [
+                (ar, ar.source if reverse else ar.target, ar.canonical_id())
+                for ar in adj(v)
+            ]
+        if vsteps and len(ids) >= limit:
+            raise PreconditionError("window graph is not acyclic")
+        for ar, w, aid in vsteps:
+            if reverse:
+                path = ((aid,) + ids, (ar,) + arrows)
+            else:
+                path = (ids + (aid,), arrows + (ar,))
+            out.setdefault(w, []).append(path)
+            stack.append((w,) + path)
+    for ps in out.values():
+        ps.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return out
 
 
-def _id_index(paths):
-    """Arrow-id tuples of each vertex's basis paths, and their positions.
-
-    The paths at one vertex share both endpoints, so the tuple names one.
-    """
-    ids = {v: [p.sort_key()[1] for p in ps] for v, ps in paths.items()}
-    index = {v: {t: k for k, t in enumerate(ts)} for v, ts in ids.items()}
-    return ids, index
+_ONE = Fraction(1)
 
 
 def build_P(q, a, n):
@@ -169,17 +180,24 @@ def _build_P_on(window, a):
         raise PreconditionError(
             f"{a.canonical_id()} is outside Window({window.radius})"
         )
-    paths = _path_basis(window, a)
-    dims = {v: len(ps) for v, ps in paths.items()}
-    ids, index = _id_index(paths)
+    basis = _path_basis(window, a)
+    dims = {v: len(ps) for v, ps in basis.items()}
+    index = {
+        v: {ids: k for k, (ids, _) in enumerate(ps)} for v, ps in basis.items()
+    }
     maps = {}
     for ar in window.arrows:
         aid = ar.canonical_id()
         m = ratmat.zeros(dims.get(ar.target, 0), dims.get(ar.source, 0))
-        for k, t in enumerate(ids.get(ar.source, ())):
-            m[index[ar.target][t + (aid,)]][k] = Fraction(1)
+        rows = index.get(ar.target)
+        for k, (ids, _) in enumerate(basis.get(ar.source, ())):
+            m[rows[ids + (aid,)]][k] = _ONE
         maps[aid] = m
-    labels = {v: tuple(p.describe() for p in ps) for v, ps in paths.items()}
+    src = a.canonical_id()
+    labels = {
+        v: tuple(describe_path(src, ids) for ids, _ in ps)
+        for v, ps in basis.items()
+    }
     return RepWindow(window, dims, maps, labels)
 
 
@@ -193,29 +211,38 @@ def _build_I_on(window, a):
         raise PreconditionError(
             f"{a.canonical_id()} is outside Window({window.radius})"
         )
-    paths = _path_basis(window, a, reverse=True)
-    dims = {v: len(ps) for v, ps in paths.items()}
-    maps = _precomposition_maps(window, paths, dims)
-    labels = {v: tuple(p.describe() for p in ps) for v, ps in paths.items()}
+    bases = {
+        v: [ids for ids, _ in ps]
+        for v, ps in _path_basis(window, a, reverse=True).items()
+    }
+    dims = {v: len(ts) for v, ts in bases.items()}
+    labels = {}
+    for v, ts in bases.items():
+        src = v.canonical_id()
+        labels[v] = tuple(describe_path(src, ids) for ids in ts)
+    maps = _precomposition_maps(window, bases)
     return RepWindow(window, dims, maps, labels)
 
 
-def _precomposition_maps(window, paths, dims):
-    """Arrow maps dual to precomposition on per-vertex path bases.
+def _precomposition_maps(window, bases):
+    """Arrow maps dual to precomposition on per-vertex path bases, each
+    basis a list of arrow-id tuples (in path order).
 
-    The basis functional p at the target pulls back from the functional
-    at (ar then p) on the source side, when that path is in its basis.
+    The basis functional t at the target pulls back from the functional
+    at (ar then t) on the source side, when that path is in its basis.
+    The maps are dense ``Fraction`` grids with one 1 per matched path.
     """
-    ids, index = _id_index(paths)
+    index = {v: {t: k for k, t in enumerate(ts)} for v, ts in bases.items()}
     maps = {}
     for ar in window.arrows:
         aid = ar.canonical_id()
         src_index = index.get(ar.source, {})
-        m = ratmat.zeros(dims.get(ar.target, 0), dims.get(ar.source, 0))
-        for k, t in enumerate(ids.get(ar.target, ())):
+        tgt = bases.get(ar.target, ())
+        m = ratmat.zeros(len(tgt), len(src_index))
+        for k, t in enumerate(tgt):
             col = src_index.get((aid,) + t)
             if col is not None:
-                m[k][col] = Fraction(1)
+                m[k][col] = _ONE
         maps[aid] = m
     return maps
 
@@ -272,9 +299,9 @@ def build_Y(q, cls, n):
         orbit_ids.append(f"{label}@{i}")
     m_steps = len(orbit_ids)
     bigw = eng.graph(big).window
-    reach = counts1
-    dims, labels = {}, {}
-    chosen = {}
+    # (next vertex, arrow id) of each step that stays inside the reach
+    steps = {}
+    dims, labels, chosen = {}, {}, {}
     for v in window.vertices:
         want = counts1.get(v, 0)
         if not want:
@@ -282,37 +309,43 @@ def build_Y(q, cls, n):
         found = []
         stack = [(v, ())]
         while stack:
-            at, arrows = stack.pop()
+            at, ids = stack.pop()
             if at == t1:
-                found.append(Path(v, arrows))
+                found.append(ids)
                 continue
-            for ar in bigw.arrows_from(at):
-                w = ar.target
-                if w == t1 or w in reach:
-                    stack.append((w, arrows + (ar,)))
+            at_steps = steps.get(at)
+            if at_steps is None:
+                at_steps = steps[at] = [
+                    (ar.target, ar.canonical_id())
+                    for ar in bigw.arrows_from(at)
+                    if ar.target == t1 or ar.target in counts1
+                ]
+            for w, aid in at_steps:
+                stack.append((w, ids + (aid,)))
         if len(found) != want:
             raise InternalConsistencyError(
                 f"enumerated {len(found)} tail paths at {v.canonical_id()}, "
                 f"counted {want}"
             )
         keyed = []
-        for p in found:
-            ids = [ar.canonical_id() for ar in p.arrows]
+        for ids in found:
             s = 0
             while (
                 s < min(len(ids), m_steps)
                 and ids[len(ids) - 1 - s] == orbit_ids[m_steps - 1 - s]
             ):
                 s += 1
-            prefix = Path(v, p.arrows[: len(p.arrows) - s])
-            keyed.append(((m_steps - s, prefix.sort_key()), p, prefix))
+            prefix = ids[: len(ids) - s]
+            keyed.append(((m_steps - s, (len(prefix), prefix)), ids))
         keyed.sort(key=lambda t: t[0])
+        src = v.canonical_id()
         dims[v] = want
         labels[v] = tuple(
-            (entry, prefix.describe()) for (entry, _), _, prefix in keyed
+            (entry, describe_path(src, prefix))
+            for (entry, (_, prefix)), _ in keyed
         )
-        chosen[v] = [p for _, p, _ in keyed]
-    maps = _precomposition_maps(window, chosen, dims)
+        chosen[v] = [ids for _, ids in keyed]
+    maps = _precomposition_maps(window, chosen)
     return RepWindow(window, dims, maps, labels)
 
 
@@ -547,7 +580,8 @@ class HomSpace:
             paths = _path_basis(window, self.vertex)
             for v, ps in paths.items():
                 mat = [[Fraction(0)] * len(ps) for _ in range(m.dim(v))]
-                for col, p in enumerate(ps):
+                for col, (_, arrows) in enumerate(ps):
+                    p = Path(self.vertex, arrows)
                     img = ratmat.mat_vec(apply_path(m, p), x)
                     for row, c in enumerate(img):
                         mat[row][col] = c
@@ -556,8 +590,8 @@ class HomSpace:
         paths = _path_basis(window, self.vertex, reverse=True)
         for v, ps in paths.items():
             mat = []
-            for p in ps:
-                mp = apply_path(m, p)
+            for _, arrows in ps:
+                mp = apply_path(m, Path(v, arrows))
                 mat.append(
                     [
                         sum((x[i] * mp[i][j] for i in range(len(mp))), Fraction(0))
@@ -764,7 +798,10 @@ def dump_rep(m):
         cols = len(mat[0]) if mat else m.dim(ar.source)
         lines.append(f"arrow {ar.canonical_id()} {rows}x{cols}")
         for row in mat:
-            lines.append(
-                " ".join(f"{c.numerator}/{c.denominator}" for c in row)
-            )
+            # most entries of a path map are 0: format only the others
+            cells = ["0/1"] * len(row)
+            for j, c in enumerate(row):
+                if c:
+                    cells[j] = f"{c.numerator}/{c.denominator}"
+            lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"

@@ -189,13 +189,20 @@ class Path:
         return (len(self.arrows), tuple(a.canonical_id() for a in self.arrows))
 
     def describe(self):
-        if not self.arrows:
-            return f"<{self.source.canonical_id()}>"
-        steps = ".".join(a.canonical_id() for a in self.arrows)
-        return f"<{self.source.canonical_id()}|{steps}>"
+        return describe_path(
+            self.source.canonical_id(), [a.canonical_id() for a in self.arrows]
+        )
 
     def __repr__(self):
         return self.describe()
+
+
+def describe_path(source_id, arrow_ids):
+    """The text of ``Path.describe()`` from the source's and the arrows'
+    canonical ids: ``<source|id.id...>``, or ``<source>`` when trivial."""
+    if not arrow_ids:
+        return f"<{source_id}>"
+    return f"<{source_id}|{'.'.join(arrow_ids)}>"
 
 
 @dataclass(frozen=True)
@@ -408,6 +415,15 @@ class Window:
             )
             object.__setattr__(self, "_adj_cache", adj)
         return adj
+
+    def arrow_by_id(self, aid):
+        """The arrow with canonical id ``aid``; KeyError if the window has
+        none.  The id map is built on the first call."""
+        by_id = getattr(self, "_id_cache", None)
+        if by_id is None:
+            by_id = {a.canonical_id(): a for a in self.arrows}
+            object.__setattr__(self, "_id_cache", by_id)
+        return by_id[aid]
 
     def contains(self, vref):
         return self._position(vref) is not None

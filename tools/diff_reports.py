@@ -11,7 +11,9 @@ finite through a pair of distinct vertices (exit 3), and ``validate`` on
 the R=6 shift-1 ``nat`` ladder and the R=5 shift-2 ``int`` ladder, two
 acyclic inputs with a large (ray, gain) space for the cycle search.  Every
 distinct seed-1 and seed-2 ``reps`` build is written out with ``dump_rep``
-followed by its socle and radical dimensions.  Each tree runs
+followed by its socle and radical dimensions, the basis labels of each
+support vertex, and the hom dimension and realize/extract round trip at the
+build's vertex.  Each tree runs
 in its own subprocess with ``PYTHONPATH=<tree>/src`` and the same
 ``PYTHONHASHSEED``, so that text which iterates a set of strings comes out
 in the same order on both sides and a difference means the trees differ.
@@ -104,6 +106,16 @@ def requests(folder):
     return {"catalog": catalog, "reps": reps}
 
 
+def hom_round_trip(fp, m, build, at):
+    """Hom dimension and realize/extract round trip at ``at``, in the
+    direction the benchmark's ``hom`` requests take (Hom(P, I_at) for a
+    projective, Hom(P_at, M) otherwise)."""
+    make = fp.hom_to_injective if build == "P" else fp.hom_from_projective
+    h = make(m, at)
+    x = [k % 5 + 1 for k in range(h.dimension)]
+    return {"dim": h.dimension, "roundtrip": h.extract(h.realize(x)) == x}
+
+
 def collect(tree, spec_path, out_path):
     """Child side: run every request on the fpquiver of ``tree``."""
     import fpquiver.cli  # noqa: F401  (the package does not import its CLI)
@@ -125,11 +137,15 @@ def collect(tree, spec_path, out_path):
         regions._ENGINES.clear()
         q = fp.parse(text)
         try:
-            m, _ = checks.build_rep(
+            m, at = checks.build_rep(
                 fp, q, build, tuple(where) if where else None, n)
-            dims = {"socle": checks.ids(fp.socle(m).dims_dict()),
-                    "radical": checks.ids(fp.radical(m).dims_dict())}
-            out[label] = [0, fp.dump_rep(m) + json.dumps(dims, sort_keys=True)]
+            facts = {"socle": checks.ids(fp.socle(m).dims_dict()),
+                     "radical": checks.ids(fp.radical(m).dims_dict()),
+                     "labels": {v.canonical_id(): m.labels(v)
+                                for v in m.support()},
+                     "hom": hom_round_trip(fp, m, build, at)}
+            out[label] = [0, fp.dump_rep(m) + json.dumps(facts, indent=0,
+                                                         sort_keys=True)]
         except Exception as exc:  # a failed build is an output to compare
             out[label] = [1, f"{type(exc).__name__}: {exc}"]
     pathlib.Path(out_path).write_text(json.dumps(out), encoding="utf-8")
