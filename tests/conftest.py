@@ -1,6 +1,9 @@
-"""Shared fixtures: the bundled example quivers."""
+"""Shared fixtures: the bundled example quivers, and the benchmark's
+request generator."""
 
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -8,12 +11,27 @@ from fpquiver.qdl import parse
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def load_quiver(name):
     """Parse one of the bundled .quiver description files."""
     text = (FIXTURE_DIR / f"{name}.quiver").read_text(encoding="utf-8")
     return parse(text)
+
+
+def load_gen():
+    """``perfbench/gen.py``, imported without writing bytecode next to it."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "_perfbench_gen", ROOT / "perfbench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+    finally:
+        sys.dont_write_bytecode = saved
+    return gen
 
 
 @pytest.fixture(scope="session")

@@ -8,14 +8,11 @@ bundled fixtures and on the benchmark's ladder windows (``perfbench/gen.py``
 imported without writing bytecode next to it).
 """
 
-import importlib.util
-import pathlib
 import random
-import sys
 
 import pytest
 
-from conftest import load_quiver
+from conftest import load_gen, load_quiver
 from fpquiver.linrep import (
     InfiniteDimensionAt,
     RepWindow,
@@ -29,23 +26,7 @@ from fpquiver.linrep import (
 from fpquiver.qdl import Path, core, instantiate_window, parse, ray
 from fpquiver.regions import PreconditionError, engine_for
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def _load_gen():
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "_perfbench_gen", ROOT / "perfbench" / "gen.py")
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
-    finally:
-        sys.dont_write_bytecode = saved
-    return gen
-
-
-gen = _load_gen()
+gen = load_gen()
 
 # (rays, domain, n): ladder windows of the benchmark's reps requests
 LADDERS = ((2, "nat", 14), (2, "int", 11), (3, "nat", 8), (3, "nat", 13),

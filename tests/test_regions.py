@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from conftest import load_quiver
+from conftest import load_gen, load_quiver
 from fpquiver import cli, oracle, regions
 from fpquiver.classify import classify
 from fpquiver.patterns import (
@@ -672,7 +672,11 @@ def _edges(*specs):
 
 # templates with rays a-d: three- and four-ray components, gain-0
 # self-loops, self-loops +2 and -4 that only rungs of gain 1 and 0 join,
-# zero-gain cycles beside positive ones, and several components at once
+# zero-gain cycles beside positive ones, and several components at once;
+# then a 2-cycle plus a second cycle through it, a 3-cycle plus a chord,
+# parallel edges of each sign, a negative component that other rays reach,
+# a 2-cycle entered from its larger ray, and mixneg, a loop of gain -1 on a
+# beside a -> b -> a of gain +2 (cyclic, yet only a is on a negative cycle)
 HAND_TEMPLATES = (
     _edges(("a", "a", 0)),
     _edges(("a", "a", 2)),
@@ -690,6 +694,13 @@ HAND_TEMPLATES = (
     _edges(("a", "b", 1), ("b", "a", -1), ("a", "a", 3)),
     _edges(("a", "b", 2), ("b", "a", -1), ("c", "d", 1), ("d", "c", 0),
            ("d", "d", -2), ("b", "c", 0)),
+    _edges(("a", "b", 1), ("b", "a", 1), ("b", "c", 1), ("c", "a", 1)),
+    _edges(("a", "b", 1), ("b", "c", 1), ("c", "a", 1), ("a", "c", 2)),
+    _edges(("a", "b", 1), ("a", "b", 2), ("b", "a", 0)),
+    _edges(("a", "b", -1), ("a", "b", -1), ("b", "a", -1), ("c", "c", 1)),
+    _edges(("a", "b", 1), ("b", "c", -1), ("c", "b", -2), ("d", "c", 3)),
+    _edges(("b", "a", -1), ("a", "b", -2), ("c", "a", 0)),
+    _edges(("a", "a", -1), ("a", "b", 1), ("b", "a", 1)),
 )
 
 
@@ -715,6 +726,127 @@ def _templates():
 def test_zero_gain_rays_match_a_gain_bounded_search(nodes, edges):
     assert regions._zero_gain_rays(nodes, edges) == _brute_zero_gain_rays(
         nodes, edges)
+
+
+def _simple_cycles(nodes, edges):
+    """All simple cycles of a small multigraph as (gain, edge-list) pairs,
+    each listed once, from its least node (exponential in general)."""
+    order = {r: k for k, r in enumerate(sorted(nodes))}
+    cycles = []
+
+    def walk(start, at, visited, trail):
+        for e in edges:
+            _, u, v, g = e
+            if u != at:
+                continue
+            if v == start:
+                cycles.append(trail + [e])
+            elif v not in visited and order[v] > order[start]:
+                walk(start, v, visited | {v}, trail + [e])
+
+    for s in sorted(nodes):
+        walk(s, s, {s}, [])
+    return [(sum(e[3] for e in cyc), tuple(cyc)) for cyc in cycles]
+
+
+def _reference_tail_facts(eng):
+    """(neg_cycle_rays, descent_rays, tail_classes()) read off a listing of
+    every simple cycle of the template: the rays on an unguarded cycle of
+    gain < 0, the rays reaching one, and per strongly connected component
+    with cycles of a regime's sign, one class per residue of its one cycle
+    or a family report when it has more (meaningful on acyclic templates)."""
+    names = eng.q.ray_names()
+    neg = {
+        u
+        for gain, cyc in _simple_cycles(names, eng.u_template)
+        if gain < 0
+        for _, u, _v, _g in cyc
+    }
+    descent = {r for r in names if eng.u_reach[r] & neg}
+    classes, reports = [], []
+    gz = eng.c_max + eng.bound + 2
+    for regime, edges in (("+", eng.full_template), ("-", eng.u_template)):
+        comp = regions._scc_ids(names, edges)
+        by_comp = {}
+        for gain, cyc in _simple_cycles(names, edges):
+            if gain != 0 and (gain > 0) == (regime == "+"):
+                by_comp.setdefault(comp[cyc[0][1]], []).append((gain, cyc))
+        for cid in sorted(by_comp):
+            group = by_comp[cid]
+            if len(group) > 1:
+                reports.append(regions.InfiniteClassFamilyReport(
+                    regime=regime,
+                    ray=min(e[1] for _, cyc in group for e in cyc),
+                    labels=tuple(sorted({e[0] for _, cyc in group
+                                         for e in cyc}))))
+                continue
+            gain, cyc = group[0]
+            rays_on = [e[1] for e in cyc]
+            k = rays_on.index(min(rays_on))
+            r0 = rays_on[k]
+            stride = abs(gain)
+            for off in range(stride):
+                s0 = gz + off if regime == "+" else -gz - off
+                classes.append(TailClass(
+                    ray=r0, direction=regime, stride=stride,
+                    base_index=s0 % stride, start=ray(r0, s0),
+                    cycle=tuple(e[0] for e in cyc[k:] + cyc[:k])))
+    classes.sort(key=lambda c: (c.ray, c.direction, c.base_index))
+    return neg, descent, (classes, reports)
+
+
+def _down_seeds(eng, neg):
+    """Per ray r0, the union of u_reach[c] over c in u_reach[r0] & neg, as
+    _succ_support seeds a descending tail."""
+    return {r0: set().union(*(eng.u_reach[c] for c in eng.u_reach[r0] & neg))
+            for r0 in eng.q.ray_names()}
+
+
+def _template_quiver(name, nodes, edges, guarded):
+    """A description with one int ray per node and one family per template
+    edge, spelled u[i] -> v[i+g] (u[i+|g|] -> v[i] for g < 0), each
+    ``for i >= 0`` where ``guarded(k)`` holds for its position k."""
+    lines = [f"quiver {name}"] + [f"ray {r} domain int" for r in nodes]
+    for k, (label, u, v, g) in enumerate(edges):
+        src = f"{u}[i+{-g}]" if g < 0 else f"{u}[i]"
+        tgt = f"{v}[i+{g}]" if g > 0 else f"{v}[i]"
+        guard = "for i >= 0" if guarded(k) else "for all i"
+        lines.append(f"family {label}: {src} -> {tgt} {guard}")
+    return parse("\n".join(lines) + "\n")
+
+
+def _tail_quivers():
+    # the cycle quivers (cyclic random draws among them), gen.py ladders,
+    # and a description of every template above: unguarded, and with every
+    # other family guarded so that the full and unguarded templates differ
+    gen = load_gen()
+    out = _cycle_quivers()
+    for rays, shift, dom in ((2, 1, "int"), (3, 1, "nat"), (5, 1, "int"),
+                             (5, 2, "int"), (6, 1, "nat")):
+        name = f"ladder{rays}s{shift}{dom}"
+        out.append(parse(gen.ladder_text(random.Random(0), rays, shift, dom,
+                                         name)[0]))
+    for p in _templates():
+        nodes, edges = p.values
+        out.append(_template_quiver(f"{p.id}_all", nodes, edges,
+                                    lambda k: False))
+        out.append(_template_quiver(f"{p.id}_mixed", nodes, edges,
+                                    lambda k: k % 2 == 0))
+    return out
+
+
+@pytest.mark.parametrize("q", _tail_quivers(), ids=lambda q: q.name)
+def test_tail_facts_match_the_simple_cycle_listing(q):
+    eng = RegionEngine(q)
+    neg, descent, catalog = _reference_tail_facts(eng)
+    # neg_cycle_rays is set before the cycle check; on a cyclic template
+    # it may name further rays of a component with a negative cycle, but
+    # its readers see only whole components, which share u_reach
+    assert eng.descent_rays == descent
+    assert _down_seeds(eng, eng.neg_cycle_rays) == _down_seeds(eng, neg)
+    if eng.cycle_witness() is None:
+        assert eng.neg_cycle_rays == neg
+        assert eng.tail_classes() == catalog
 
 
 def test_cycle_search_checks_the_template_test(monkeypatch):
