@@ -198,12 +198,17 @@ class RegionEngine:
         names = q.ray_names()
         self.full_reach = _reach(names, self.full_template)
         self.u_reach = _reach(names, self.u_template)
-        # rays on a negative-gain unguarded cycle, and rays reaching one
+        # rays of the unguarded components with a cycle of gain < 0, and
+        # rays reaching one.  This runs before the cycle check: on a cyclic
+        # template such a component can also hold cycles of gain >= 0, so
+        # some of its rays need not lie on a negative cycle.  Its readers
+        # (descent_rays, the down seeds of _succ_support) see only whole
+        # components, whose rays share u_reach, so they are exact anyway.
         self.neg_cycle_rays = {
-            u
-            for gain, edges in _simple_cycles(names, self.u_template)
-            if gain < 0
-            for _, u, _v, _g in edges
+            r
+            for rays, inner in _components(names, self.u_template)
+            if _potentials(rays, inner, 1) is None
+            for r in rays
         }
         self.descent_rays = {
             r for r in names if self.u_reach[r] & self.neg_cycle_rays
@@ -303,7 +308,8 @@ class RegionEngine:
         if self._upset is not None and self._upset[0] == radius:
             return self._upset[1]
         g = self.graph(radius)
-        upset = _pumps(g, [lv <= radius for lv in g.level])
+        live = [lv <= radius for lv in g.level]
+        upset = {_vertex_at(g, vi) for vi in _pump_positions(g, live)}
         self._upset = (radius, upset)
         return upset
 
@@ -720,55 +726,50 @@ class RegionEngine:
     def tail_classes(self):
         """(classes, reports): the class catalog, or branching reports.
 
-        Distinct same-sign cycles inside one strongly connected piece of the
-        translation template can be interleaved in infinitely many
-        inequivalent ways, so they are reported as an infinite family
-        instead of enumerated.  (Opposite signs in one piece would give a
-        zero-gain closed walk, excluded by acyclicity.)"""
+        A right-infinite tail that ends in the positive regime runs round
+        cycles of gain > 0 of the translation template, and one in the
+        negative regime round cycles of gain < 0 of its unguarded part, so
+        each regime is decided per strongly connected component of its
+        template.  Acyclicity leaves no cycle of gain 0 and no component
+        with cycles of both signs (the two would make a closed walk of gain
+        0, as in :func:`_zero_gain_rays`), so a component with inner edges
+        has cycles of one sign, which Bellman-Ford tells.  Every ray and
+        every inner edge of a strongly connected multigraph lies on a simple
+        cycle, and it is exactly one cycle when it has as many inner edges
+        as rays.  Then the cycle, walked from the least ray, gives one class
+        per residue of its gain; with more inner edges, distinct cycles can
+        be interleaved in infinitely many inequivalent ways, so the
+        component is reported as an infinite family (its least ray and all
+        its inner labels) instead of enumerated."""
         self.ensure_acyclic()
         classes = []
         reports = []
-        for regime, edges in (("+", self.full_template), ("-", self.u_template)):
-            want_positive = regime == "+"
-            cycles = [
-                (gain, cyc)
-                for gain, cyc in _simple_cycles(self.q.ray_names(), edges)
-                if (gain > 0) == want_positive and gain != 0
-            ]
-            if not cycles:
-                continue
-            comp = _scc_ids(self.q.ray_names(), edges)
-            by_comp = {}
-            for gain, cyc in cycles:
-                by_comp.setdefault(comp[cyc[0][1]], []).append((gain, cyc))
-            gz = self.c_max + self.bound + 2
-            for cid in sorted(by_comp):
-                group = by_comp[cid]
-                if len(group) > 1:
-                    rays_on = sorted({e[1] for _, cyc in group for e in cyc})
-                    labels = tuple(
-                        sorted({e[0] for _, cyc in group for e in cyc})
-                    )
+        gz = self.c_max + self.bound + 2
+        for regime, sign, edges in (
+            ("+", 1, self.full_template),
+            ("-", -1, self.u_template),
+        ):
+            for rays, inner in _components(self.q.ray_names(), edges):
+                if _potentials(rays, inner, -sign) is not None:
+                    continue  # no cycle of the regime's sign
+                r0 = rays[0]
+                if len(inner) > len(rays):
                     reports.append(
                         InfiniteClassFamilyReport(
                             regime=regime,
-                            ray=rays_on[0],
-                            labels=labels,
+                            ray=r0,
+                            labels=tuple(sorted(e[0] for e in inner)),
                         )
                     )
                     continue
-                gain, cyc = group[0]
-                rays_on = [e[1] for e in cyc]
-                r0 = min(rays_on)
-                k = rays_on.index(r0)
-                rotated = cyc[k:] + cyc[:k]
-                labels = tuple(e[0] for e in rotated)
-                stride = abs(gain)
+                step = {e[1]: e for e in inner}
+                cycle = [step[r0]]
+                while cycle[-1][2] != r0:
+                    cycle.append(step[cycle[-1][2]])
+                labels = tuple(e[0] for e in cycle)
+                stride = abs(sum(e[3] for e in cycle))
                 for base_off in range(stride):
-                    if regime == "+":
-                        s0 = gz + base_off
-                    else:
-                        s0 = -gz - base_off
+                    s0 = sign * (gz + base_off)
                     classes.append(
                         TailClass(
                             ray=r0,
@@ -1025,11 +1026,6 @@ def _reached(g, seeds, radius):
     return seen
 
 
-def _pumps(g, live):
-    """The vertices at :func:`_pump_positions`."""
-    return {_vertex_at(g, vi) for vi in _pump_positions(g, live)}
-
-
 def _pump_positions(g, live):
     """Positions of the ray vertices of ``live`` (a per-vertex mask) from
     which translation arrows through ``live`` lead to a higher index on
@@ -1144,34 +1140,28 @@ def _scc_ids(nodes, edges):
     return comp
 
 
-def _simple_cycles(nodes, edges):
-    """All simple cycles of a small multigraph as (gain, edge-list) pairs."""
-    order = {r: k for k, r in enumerate(sorted(nodes))}
-    cycles = []
-
-    def walk(start, at, visited, trail):
-        for e in edges:
-            _, u, v, g = e
-            if u != at:
-                continue
-            if v == start:
-                cycles.append(trail + [e])
-            elif v not in visited and order[v] > order[start]:
-                walk(start, v, visited | {v}, trail + [e])
-
-    for s in sorted(nodes):
-        walk(s, s, {s}, [])
-    return [(sum(e[3] for e in cyc), tuple(cyc)) for cyc in cycles]
+def _components(nodes, edges):
+    """The strongly connected components of template ``edges`` (label,
+    source, target, gain) as (rays, inner edges) pairs, ordered by least
+    ray, with rays sorted and edges in their given order."""
+    comp = _scc_ids(nodes, edges)
+    out = [([], []) for _ in range(len(set(comp.values())))]
+    for r in sorted(nodes):
+        out[comp[r]][0].append(r)
+    for e in edges:
+        if comp[e[1]] == comp[e[2]]:
+            out[comp[e[1]]][1].append(e)
+    return out
 
 
 def _potentials(nodes, edges, sign):
-    """Shortest distances under ``sign * gain`` along ``edges`` (source,
-    target, gain) from a virtual source joined to every node at 0
-    (Bellman-Ford), or None when a cycle has ``sign * gain < 0``."""
+    """Shortest distances under ``sign * gain`` along template ``edges``
+    (label, source, target, gain) from a virtual source joined to every
+    node at 0 (Bellman-Ford), or None when a cycle has ``sign * gain < 0``."""
     dist = dict.fromkeys(nodes, 0)
     for _ in range(len(dist) + 1):
         changed = False
-        for u, v, gain in edges:
+        for _, u, v, gain in edges:
             if dist[u] + sign * gain < dist[v]:
                 dist[v] = dist[u] + sign * gain
                 changed = True
@@ -1200,21 +1190,16 @@ def _zero_gain_rays(nodes, edges):
     This is the zero-cycle test of Iwano & Steiglitz, "Testing for cycles
     in infinite graphs with periodic structure" (STOC 1987), run on the
     one-dimensional quotient graph: a few Bellman-Ford passes per
-    component, where listing simple cycles (:func:`_simple_cycles`) can
-    take exponential time."""
-    comp = _scc_ids(nodes, edges)
+    component, where listing simple cycles can take exponential time."""
     out = set()
-    for c in set(comp.values()):
-        rays = [r for r in nodes if comp[r] == c]
-        inner = [(u, v, gain) for _, u, v, gain in edges
-                 if comp[u] == c == comp[v]]
+    for rays, inner in _components(nodes, edges):
         up = _potentials(rays, inner, 1)
         down = _potentials(rays, inner, -1)
         if up is None and down is None:
             out.update(rays)
             continue
         sign, pot = (1, up) if up is not None else (-1, down)
-        tight = [(None, u, v, 0) for u, v, gain in inner
+        tight = [(None, u, v, 0) for _, u, v, gain in inner
                  if pot[u] + sign * gain == pot[v]]
         tcomp = _scc_ids(rays, tight)
         out.update(u for _, u, v, _ in tight if tcomp[u] == tcomp[v])

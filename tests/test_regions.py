@@ -468,7 +468,8 @@ def test_pumps_of_a_reach_set(q):
         for seeds in [[a] for a in picks] + [picks]:
             seen = regions._reached(g, seeds, r)
             reach = {v for v, hit in zip(g.window.vertices, seen) if hit}
-            assert regions._pumps(g, seen) == pumps & reach
+            assert {regions._vertex_at(g, vi) for vi in
+                    regions._pump_positions(g, seen)} == pumps & reach
         for a in picks:
             radius = eng._query_radius(a)
             g = eng.graph(radius)

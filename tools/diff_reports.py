@@ -9,7 +9,11 @@ pointwise check grows as C squared) and on the R=4 and R=5 ``int`` ladders,
 fan into its first ray and a fan out of its last, which is not interval
 finite through a pair of distinct vertices (exit 3), and ``validate`` on
 the R=6 shift-1 ``nat`` ladder and the R=5 shift-2 ``int`` ladder, two
-acyclic inputs with a large (ray, gain) space for the cycle search.  Every
+acyclic inputs with a large (ray, gain) space for the cycle search, and on
+dense templates (N ``int`` rays with the N(N-1) families
+``rK[i] -> rJ[i+1] for all i``, K != J, one strongly connected component
+with far more cycles than rays): ``validate`` at N=9 and ``classify`` at N=6,
+which reports infinitely many tail classes.  Every
 distinct seed-1 and seed-2 ``reps`` build is written out with ``dump_rep``
 followed by its socle and radical dimensions, the basis labels of each
 support vertex, and the hom dimension and realize/extract round trip at the
@@ -63,6 +67,15 @@ def fan_ladder_text(rays, name):
             f"family ft: {ids[-1]}[i] -> t for i >= 0\n")
 
 
+def dense_text(rays, name):
+    """``rays`` int rays with a family from each ray to every other, one
+    index up."""
+    lines = [f"quiver {name}"] + [f"ray r{k} domain int" for k in range(rays)]
+    lines += [f"family f{k}_{j}: r{k}[i] -> r{j}[i+1] for all i"
+              for k in range(rays) for j in range(rays) if k != j]
+    return "\n".join(lines) + "\n"
+
+
 # (name, subcommand, description text) of each scaling shape, run once per
 # tree
 SCALING = (
@@ -79,6 +92,8 @@ SCALING = (
      gen.ladder_text(random.Random(0), 6, 1, "nat", "ladder6nat")[0]),
     ("ladder5s2", "validate",
      gen.ladder_text(random.Random(0), 5, 2, "int", "ladder5s2")[0]),
+    ("dense9", "validate", dense_text(9, "dense9")),
+    ("dense6", "classify", dense_text(6, "dense6")),
 )
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
