@@ -203,3 +203,68 @@ def test_exit_3_witness_does_not_depend_on_the_hash_seed(tmp_path):
         outs.append(proc.stdout)
     assert "cores=frozenset({'s', 't'})" in outs[0]
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# usage: argv that names no valid command line exits 2 with the usage on
+# stderr and nothing on stdout
+
+
+USAGE_ERRORS = [
+    pytest.param((), id="no-command"),
+    pytest.param(("bogus", "ex1"), id="unknown-command"),
+    pytest.param(("validate",), id="missing-file"),
+    pytest.param(("validate", "ex1", "extra"), id="extra-positional"),
+    pytest.param(("query", "ex1", "pred"), id="query-without-id"),
+    pytest.param(("rep", "ex1", "P"), id="rep-without-id"),
+    pytest.param(("query", "ex1", "bogus", "r:a:0"), id="query-kind"),
+    pytest.param(("rep", "ex1", "Q", "r:a:0"), id="rep-kind"),
+    pytest.param(("rep", "ex1", "P", "r:a:0", "--window", "x"),
+                 id="window-not-int"),
+    pytest.param(("rep", "ex1", "P", "r:a:0", "--window"),
+                 id="window-without-value"),
+    pytest.param(("oracle-compare", "ex1", "--seed", "x"), id="seed-not-int"),
+    pytest.param(("rep", "ex1", "P", "r:a:0", "--dump", "--dot"),
+                 id="dump-and-dot"),
+    pytest.param(("validate", "ex1", "--opt"), id="unknown-option"),
+    pytest.param(("classify", "ex1", "--seed", "3"), id="foreign-option"),
+]
+
+
+def _argv(words):
+    return [fx(w) if w == "ex1" else w for w in words]
+
+
+@pytest.mark.parametrize("words", USAGE_ERRORS)
+def test_usage_error_exits_2(capsys, words):
+    with pytest.raises(SystemExit) as info:
+        cli.main(_argv(words))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert captured.out == ""
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("validate", "classify", "query", "rep", "oracle-compare"):
+        assert command in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", fx("ex1")], 0),
+    (["validate", fx("cycle")], 3),
+    ([], 2),
+])
+def test_module_entry_point_reads_sys_argv(argv, code):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "fpquiver", *argv],
+                          capture_output=True, text=True, env=env,
+                          check=False)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert "usage:" in proc.stderr and proc.stdout == ""
