@@ -2,14 +2,19 @@
 answer region queries, dump representation windows, and cross-check the
 symbolic layer against the brute-force oracle.
 
-Reports are plain structured text, one fact per line, and byte-identical
-across runs for identical inputs.  Exit codes: 0 success, 1 I/O or generic
-failure, 2 parse error, 3 not interval finite, 4 unknown id, 5 infinite
+The command line is read against ``COMMANDS``, a table of each command's
+handler, positionals, ``kind`` choices and options, without building a
+parser per call.  Options go anywhere after the command, spelled out in
+full, as ``--opt N`` or ``--opt=N``.  Reports are plain structured text,
+one fact per line, and byte-identical across runs for identical inputs.
+Exit codes: 0 success, 1 I/O or generic failure, 2 parse or usage error
+(usage on stderr), 3 not interval finite, 4 unknown id, 5 infinite
 dimension at a vertex.
 """
 
-import argparse
 import random
+import sys
+from types import SimpleNamespace
 
 from . import linrep, oracle
 from .classify import classify
@@ -159,7 +164,7 @@ def cmd_query(args):
         if kind == "boundary":
             supp = eng.step_image(supp).difference(supp)
         lines.append(f"result: {supp.summary(q)}")
-    else:  # pragma: no cover - argparse restricts choices
+    else:  # pragma: no cover - parse_argv restricts choices
         raise UnknownIdError(f"unknown query kind {kind!r}")
     print("\n".join(lines))
     return EXIT_OK
@@ -271,54 +276,77 @@ def cmd_oracle_compare(args):
     return EXIT_OK
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="fpquiver",
-        description="Interval-finite quiver toolkit: validation, injective "
-        "classification, region queries, and representation windows.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+# command -> (handler, positional names, choices of 'kind', options with
+# their defaults); a False default marks a flag, any other an int option.
+# A last positional named 'args' takes one or more words.
+COMMANDS = {
+    "validate": (cmd_validate, ("file",), (), {}),
+    "classify": (cmd_classify, ("file",), (), {}),
+    "query": (cmd_query, ("file", "kind", "args"),
+              ("paths", "pred", "succ", "out", "in", "supp", "boundary"), {}),
+    "rep": (cmd_rep, ("file", "kind", "id"), ("P", "I", "Y"),
+            {"window": None, "dump": False, "dot": False}),
+    "oracle-compare": (cmd_oracle_compare, ("file",), (), {"seed": 0}),
+}
 
-    v = sub.add_parser("validate", help="parse a description and check it")
-    v.add_argument("file")
-    v.set_defaults(func=cmd_validate)
+USAGE = """\
+usage: fpquiver validate FILE
+       fpquiver classify FILE
+       fpquiver query FILE {paths,pred,succ,out,in,supp,boundary} ID [ID ...]
+       fpquiver rep FILE {P,I,Y} ID [--window N] [--dump | --dot]
+       fpquiver oracle-compare FILE [--seed S]
+"""
 
-    c = sub.add_parser("classify", help="report the injective catalog")
-    c.add_argument("file")
-    c.set_defaults(func=cmd_classify)
 
-    qq = sub.add_parser("query", help="answer a region query")
-    qq.add_argument("file")
-    qq.add_argument(
-        "kind",
-        choices=("paths", "pred", "succ", "out", "in", "supp", "boundary"),
-    )
-    qq.add_argument("args", nargs="+", metavar="id")
-    qq.set_defaults(func=cmd_query)
+def _usage_error(message):
+    sys.stderr.write(f"{USAGE}fpquiver: error: {message}\n")
+    raise SystemExit(EXIT_PARSE)
 
-    r = sub.add_parser("rep", help="build a representation window")
-    r.add_argument("file")
-    r.add_argument("kind", choices=("P", "I", "Y"))
-    r.add_argument("id")
-    r.add_argument("--window", type=int, default=None, metavar="N")
-    style = r.add_mutually_exclusive_group()
-    style.add_argument("--dump", action="store_true")
-    style.add_argument("--dot", action="store_true")
-    r.set_defaults(func=cmd_rep)
 
-    o = sub.add_parser(
-        "oracle-compare", help="differential check against the brute oracle"
-    )
-    o.add_argument("file")
-    o.add_argument("--seed", type=int, default=0, metavar="S")
-    o.set_defaults(func=cmd_oracle_compare)
-    return p
+def parse_argv(argv):
+    """The handler and argument fields of one command line.  Options may
+    come anywhere after the command, as ``--opt N`` or ``--opt=N``."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        raise SystemExit(EXIT_OK)
+    if not argv or argv[0] not in COMMANDS:
+        _usage_error(f"expected a command: {', '.join(COMMANDS)}")
+    func, names, kinds, options = COMMANDS[argv[0]]
+    args, words, rest = SimpleNamespace(**options), [], iter(argv[1:])
+    for word in rest:
+        if not word.startswith("-") or word[1:].isdecimal():
+            words.append(word)
+            continue
+        opt, eq, value = word.partition("=")
+        key = opt[2:]
+        if opt[:2] != "--" or key not in options or (eq and options[key] is False):
+            _usage_error(f"unrecognized option {word!r}")
+        if options[key] is False:
+            setattr(args, key, True)
+            continue
+        value = value if eq else next(rest, "")
+        try:
+            setattr(args, key, int(value))
+        except ValueError:
+            _usage_error(f"{opt} expects an integer, not {value!r}")
+    many = names[-1] == "args"
+    if len(words) < len(names) or (len(words) > len(names) and not many):
+        _usage_error(f"{argv[0]} takes {' '.join(names).upper()}")
+    for name, word in zip(names, words):
+        setattr(args, name, word)
+    if many:
+        args.args = words[len(names) - 1:]
+    if kinds and args.kind not in kinds:
+        _usage_error(f"kind must be one of {', '.join(kinds)}")
+    if getattr(args, "dump", False) and args.dot:
+        _usage_error("--dump and --dot exclude each other")
+    return func, args
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    func, args = parse_argv(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return func(args)
     except OSError as exc:
         print(f"error: {exc}")
         return EXIT_ERROR

@@ -508,15 +508,15 @@ class _Parser:
         if not statements:
             self.err(QdlSyntaxError, "empty description: expected 'quiver <name>'", 1)
         lineno, stmt = statements[0]
-        m = re.match(r"\s*quiver\s+([A-Za-z_][A-Za-z0-9_]*)\s*\Z", stmt)
-        if not m:
+        words = stmt.split()
+        if len(words) != 2 or words[0] != "quiver" or not _IDENT_RE.match(words[1]):
             self.err(
                 QdlSyntaxError,
                 "first statement must be 'quiver <name>'",
                 lineno,
                 _column(stmt, 0),
             )
-        self.name = m.group(1)
+        self.name = words[1]
         for lineno, stmt in statements[1:]:
             self.statement(lineno, stmt)
         return QuiverDescription(
@@ -568,18 +568,17 @@ class _Parser:
             self.cores.append(name)
 
     def ray_stmt(self, lineno, rest):
-        m = re.match(
-            r"([A-Za-z_][A-Za-z0-9_]*)\s+domain\s+(nat|int)\s*\Z", rest
-        )
-        if not m:
+        words = rest.split()
+        if (len(words) != 3 or not _IDENT_RE.match(words[0])
+                or words[1] != "domain" or words[2] not in (DOMAIN_NAT, DOMAIN_INT)):
             self.err(
                 QdlSyntaxError,
                 "expected 'ray <name> domain nat|int'",
                 lineno,
             )
-        name = m.group(1)
+        name = words[0]
         self.declare(name, "a ray", lineno)
-        self.rays[name] = m.group(2)
+        self.rays[name] = words[2]
 
     def split_label(self, rest, lineno):
         """Peel an optional '<label> :' prefix off an arrow/family body."""
@@ -661,17 +660,14 @@ class _Parser:
 
     def family_stmt(self, lineno, rest):
         label, body = self.split_label(rest, lineno)
-        m = re.match(
-            r"(?P<eps>.*?)\s+for\s+(?:(?:i\s*>=\s*(?P<low>-?\d+))|(?P<all>all\s+i))\s*\Z",
-            body,
-        )
-        if not m:
+        guard = _family_guard(body)
+        if guard is None:
             self.err(
                 QdlSyntaxError,
                 "expected 'for i >= <int>' or 'for all i'",
                 lineno,
             )
-        eps = m.group("eps")
+        eps, lower = guard
         if "->" not in eps:
             self.err(QdlSyntaxError, "expected '<template> -> <template>'", lineno)
         left, right = eps.split("->", 1)
@@ -685,8 +681,7 @@ class _Parser:
                 "at least one family endpoint must use the index variable",
                 lineno,
             )
-        if m.group("all"):
-            lower = None
+        if lower is None:  # for all i
             for ep in (src, tgt):
                 if ep.is_var and self.rays[ep.name] == DOMAIN_NAT:
                     self.err(
@@ -696,7 +691,6 @@ class _Parser:
                         lineno,
                     )
         else:
-            lower = int(m.group("low"))
             # clamp the lower bound so nat-domain indices never go negative
             for ep in (src, tgt):
                 if ep.is_var and self.rays[ep.name] == DOMAIN_NAT:
@@ -706,6 +700,23 @@ class _Parser:
         self.seen_labels.add(label)
         self.n_family_stmts += 1
         self.families.append(ArrowFamily(label, src, tgt, lower))
+
+
+def _family_guard(body):
+    """Split a family body '<templates> for i >= <int>' or '<templates> for
+    all i' into (templates, lower bound or None); None if the guard is
+    malformed.  The guard holds no 'for', so it follows the last one."""
+    head, _, tail = body.rpartition("for")
+    if not (head[-1:].isspace() and tail[:1].isspace()):
+        return None
+    if tail.split() == ["all", "i"]:
+        return head.rstrip(), None
+    guard = tail.strip()
+    if guard[:1] == "i" and guard[1:].lstrip()[:2] == ">=":
+        low = guard[1:].lstrip()[2:].lstrip()
+        if low.removeprefix("-").isdecimal():
+            return head.rstrip(), int(low)
+    return None
 
 
 def _column(line, pos):

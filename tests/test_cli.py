@@ -268,3 +268,119 @@ def test_module_entry_point_reads_sys_argv(argv, code):
     assert proc.returncode == code, proc.stderr
     if code == 2:
         assert "usage:" in proc.stderr and proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# the command table against the argparse parser it replaced
+
+
+def reference_parser():
+    """The argparse parser the CLI used before its command table, kept
+    verbatim as the reference for ``cli.parse_argv``."""
+    import argparse
+
+    p = argparse.ArgumentParser(
+        prog="fpquiver",
+        description="Interval-finite quiver toolkit: validation, injective "
+        "classification, region queries, and representation windows.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+
+    v = sub.add_parser("validate", help="parse a description and check it")
+    v.add_argument("file")
+    v.set_defaults(func=cli.cmd_validate)
+
+    c = sub.add_parser("classify", help="report the injective catalog")
+    c.add_argument("file")
+    c.set_defaults(func=cli.cmd_classify)
+
+    qq = sub.add_parser("query", help="answer a region query")
+    qq.add_argument("file")
+    qq.add_argument(
+        "kind",
+        choices=("paths", "pred", "succ", "out", "in", "supp", "boundary"),
+    )
+    qq.add_argument("args", nargs="+", metavar="id")
+    qq.set_defaults(func=cli.cmd_query)
+
+    r = sub.add_parser("rep", help="build a representation window")
+    r.add_argument("file")
+    r.add_argument("kind", choices=("P", "I", "Y"))
+    r.add_argument("id")
+    r.add_argument("--window", type=int, default=None, metavar="N")
+    style = r.add_mutually_exclusive_group()
+    style.add_argument("--dump", action="store_true")
+    style.add_argument("--dot", action="store_true")
+    r.set_defaults(func=cli.cmd_rep)
+
+    o = sub.add_parser(
+        "oracle-compare", help="differential check against the brute oracle"
+    )
+    o.add_argument("file")
+    o.add_argument("--seed", type=int, default=0, metavar="S")
+    o.set_defaults(func=cli.cmd_oracle_compare)
+    return p
+
+
+IDS = ("v:v0", "r:a:1", "(a,+)")
+VALID_ARGV = (
+    [("validate", "f"), ("classify", "f")]
+    + [("query", "f", kind) + IDS[:n]
+       for kind in ("paths", "pred", "succ", "out", "in", "supp", "boundary")
+       for n in (1, 2, 3)]
+    + [("query", "f", "supp", "class", "(a,+)"), ("query", "f", "pred", "-1"),
+       ("rep", "f", "P", "r:a:0"), ("rep", "f", "I", "r:a:0", "--dump"),
+       ("rep", "f", "Y", "(a,+)", "--dot"),
+       ("rep", "f", "P", "x", "--window", "3"),
+       ("rep", "f", "P", "x", "--window=3"),
+       ("rep", "f", "P", "x", "--window", "-1"),
+       ("rep", "f", "P", "x", "--window=-1"),
+       ("rep", "--window", "2", "f", "I", "x"),
+       ("rep", "f", "--dump", "P", "x"), ("rep", "f", "P", "--window=0", "x"),
+       ("rep", "f", "P", "x", "--window", "1", "--window", "5"),
+       ("rep", "--dot", "f", "Y", "x", "--window", " 4"),
+       ("oracle-compare", "f"), ("oracle-compare", "f", "--seed=7"),
+       ("oracle-compare", "--seed", "7", "f"),
+       ("oracle-compare", "f", "--seed", "-2")]
+)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_command_table_matches_argparse(argv):
+    ref = reference_parser().parse_args(list(argv))
+    func, args = cli.parse_argv(list(argv))
+    assert func is ref.func
+    want = {k: v for k, v in vars(ref).items() if k not in ("command", "func")}
+    assert vars(args) == want
+
+
+@pytest.mark.parametrize("words", USAGE_ERRORS)
+def test_command_table_rejects_what_argparse_rejects(capsys, words):
+    for parse_args in (reference_parser().parse_args, cli.parse_argv):
+        with pytest.raises(SystemExit) as info:
+            parse_args(_argv(words))
+        assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_option_abbreviations_are_rejected(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.parse_argv(["rep", fx("ex1"), "P", "r:a:0", "--win", "3"])
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_negative_window_reaches_rep(capsys):
+    code, out = run(capsys, "rep", fx("ex1"), "P", "r:a:0", "--window", "-1")
+    assert code == 1
+    assert out == "error: --window must be nonnegative\n"
+
+
+def test_cli_import_leaves_argparse_out():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fpquiver.cli; print('argparse' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
