@@ -13,7 +13,13 @@ acyclic inputs with a large (ray, gain) space for the cycle search, and on
 dense templates (N ``int`` rays with the N(N-1) families
 ``rK[i] -> rJ[i+1] for all i``, K != J, one strongly connected component
 with far more cycles than rays): ``validate`` at N=9 and ``classify`` at N=6,
-which reports infinitely many tail classes.  Every
+which reports infinitely many tail classes.  Three small descriptions catch
+what the benchmark's requests cannot: ``rep --dump`` of P and I on ex3 and
+on a shortcut quiver, whose paths between two vertices differ in length
+(so the basis order shows), and ``query succ`` on a stride-3 description
+whose descending tail has a residue set that is not its own mirror.  Their
+argvs also spell ``--window=N`` and put an option before positionals, so
+that the trees' command-line readers are compared too.  Every
 distinct seed-1 and seed-2 ``reps`` build is written out with ``dump_rep``
 followed by its socle and radical dimensions, the basis labels of each
 support vertex, and the hom dimension and realize/extract round trip at the
@@ -67,6 +73,28 @@ def fan_ladder_text(rays, name):
             f"family ft: {ids[-1]}[i] -> t for i >= 0\n")
 
 
+# two paths of different lengths from a[0] to the tail of b, with the
+# shorter one last in label order (tests/test_path_basis.py)
+SHORTCUT = """quiver shortcut
+vertex c
+ray a domain nat
+ray b domain int
+family alpha: a[i] -> a[i+1] for i >= 0
+family beta: b[i] -> b[i+1] for all i
+arrow f: a[0] -> c
+arrow g: c -> b[0]
+arrow gamma0: a[0] -> b[0]
+"""
+
+# a descending stride-3 tail with residue set {1} (tests/test_regions.py)
+STRIDE3 = (
+    "quiver s3\nray a domain int\nray b domain int\n"
+    "family down3: a[i+3] -> a[i] for all i\n"
+    "family up3: b[i] -> b[i+3] for all i\n"
+    "arrow x: b[1] -> a[1]\n"
+)
+
+
 def dense_text(rays, name):
     """``rays`` int rays with a family from each ray to every other, one
     index up."""
@@ -76,8 +104,8 @@ def dense_text(rays, name):
     return "\n".join(lines) + "\n"
 
 
-# (name, subcommand, description text) of each scaling shape, run once per
-# tree
+# (name, subcommand and the words after the file, description text) of each
+# scaling shape, run once per tree
 SCALING = (
     ("far300", "classify", gen.far_text(random.Random(0), 300, "far300")[0]),
     ("far600", "classify", gen.far_text(random.Random(0), 600, "far600")[0]),
@@ -94,6 +122,11 @@ SCALING = (
      gen.ladder_text(random.Random(0), 5, 2, "int", "ladder5s2")[0]),
     ("dense9", "validate", dense_text(9, "dense9")),
     ("dense6", "classify", dense_text(6, "dense6")),
+    ("ex3", "rep P v:v0 --window 4 --dump", gen.FIXTURES["ex3"]),
+    ("ex3", "rep I r:b:4 --window=4 --dump", gen.FIXTURES["ex3"]),
+    ("shortcut", "rep --dump P r:a:0 --window 3", SHORTCUT),
+    ("shortcut", "rep I r:b:3 --window=3 --dump", SHORTCUT),
+    ("stride3", "query succ r:b:1", STRIDE3),
 )
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
@@ -117,7 +150,9 @@ def requests(folder):
     for name, command, text in SCALING:
         path = pathlib.Path(folder) / f"scaling-{name}.quiver"
         path.write_text(text, encoding="utf-8")
-        catalog.append((f"scaling {command} {name}", [command, str(path)]))
+        tail = command.split()
+        catalog.append((" ".join(["scaling", tail[0], name] + tail[1:]),
+                        [tail[0], str(path)] + tail[1:]))
     return {"catalog": catalog, "reps": reps}
 
 
