@@ -1,5 +1,6 @@
 """Description language: parsing, references, windows."""
 
+import functools
 import pathlib
 import random
 import re
@@ -201,11 +202,11 @@ def _soup(rng, words, spaces):
 
 def header_bodies(rng, n):
     words = ["quiver", "Quiver", "quiverq", "quive"] + NAMES
+    sp = functools.partial(_space, rng, INLINE_SPACES)
     for _ in range(n):
         if rng.random() < 0.2:
             yield _soup(rng, words, INLINE_SPACES)
             continue
-        sp = lambda: _space(rng, INLINE_SPACES)  # noqa: E731
         yield (sp() + _pick(rng, ["quiver"], words) + _pick(rng, [" "], [sp()])
                + sp() + rng.choice(NAMES) + sp()
                + (rng.choice(words) if rng.random() < 0.1 else ""))
@@ -214,11 +215,11 @@ def header_bodies(rng, n):
 def ray_bodies(rng, n):
     words = ["domain", "Domain", "domainx", "nat", "int", "Int", "natint",
              "nat|int"] + NAMES
+    sp = functools.partial(_space, rng, INLINE_SPACES)
     for _ in range(n):
         if rng.random() < 0.2:
             yield _soup(rng, words, INLINE_SPACES)
             continue
-        sp = lambda: _space(rng, INLINE_SPACES)  # noqa: E731
         yield (sp() + rng.choice(NAMES) + _pick(rng, [" "], [sp()]) + sp()
                + _pick(rng, ["domain"], words) + _pick(rng, [" "], [sp()])
                + sp() + _pick(rng, ["nat", "int"], words) + sp()
@@ -238,11 +239,11 @@ TEMPLATES = ["a[i] -> b[i+1]", "fork[i] -> a[i]", "for[i] -> a[i]",
 def family_bodies(rng, n):
     words = ["for", "fork", "for[i]", "For", "fo", "all", "i", ">=", ">",
              "=", "-3", "5", "\u0663", "->", "a[i]"] + GUARDS
+    sp = functools.partial(_space, rng, FAMILY_SPACES)
     for _ in range(n):
         if rng.random() < 0.2:
             yield _soup(rng, words, FAMILY_SPACES)
             continue
-        sp = lambda: _space(rng, FAMILY_SPACES)  # noqa: E731
         yield (sp() + rng.choice(TEMPLATES) + _pick(rng, [" "], [sp()])
                + sp() + _pick(rng, ["for"], words) + _pick(rng, [" "], [sp()])
                + sp() + rng.choice(GUARDS) + sp()
