@@ -1,5 +1,8 @@
 """Symbolic index sets and support descriptions."""
 
+import math
+import random
+
 import pytest
 
 from fpquiver.patterns import (
@@ -8,6 +11,8 @@ from fpquiver.patterns import (
     Infinite,
     SupportDescription,
     TailWitness,
+    _flip,
+    _pattern_elem_at_least,
 )
 from fpquiver.qdl import core, ray
 
@@ -149,3 +154,164 @@ def test_cardinality_flags():
     assert Finite(2).is_finite
     assert not Infinite(None).is_finite
     assert Finite(0) == Finite(0)
+
+
+# --- reference: the per-operation tail algebra the set operations used to
+# run, kept verbatim so the pointwise rule can be checked against it
+
+
+def _ref_tail_union(a, b, spill, upward):
+    if a is None and b is None:
+        return None
+    if a is None or b is None:
+        return a if b is None else b
+    ta, pa, ra = a
+    tb, pb, rb = b
+    p = math.lcm(pa, pb)
+    rs = frozenset(
+        r for r in range(p) if (r % pa in ra) or (r % pb in rb)
+    )
+    t = max(ta, tb) if upward else min(ta, tb)
+    for tt, pp, rr in (a, b):
+        rng = range(tt, t) if upward else range(t + 1, tt + 1)
+        for i in rng:
+            if i % pp in rr:
+                spill.add(i)
+    return (t, p, rs)
+
+
+def _ref_tail_intersect(a, b, upward):
+    if a is None or b is None:
+        return None
+    ta, pa, ra = a
+    tb, pb, rb = b
+    p = math.lcm(pa, pb)
+    rs = frozenset(r for r in range(p) if (r % pa in ra) and (r % pb in rb))
+    if not rs:
+        return None
+    t = max(ta, tb) if upward else min(ta, tb)
+    return (t, p, rs)
+
+
+def _ref_tail_difference(a, b_up, b_mid, b_down):
+    """The up tail of A minus B, from A's up tail ``a`` and B's parts."""
+    if a is None:
+        return None
+    ta, pa, ra = a
+    if b_up is None:
+        p, rs = pa, ra
+    else:
+        _, pb, rb = b_up
+        p = math.lcm(pa, pb)
+        rs = frozenset(r for r in range(p) if r % pa in ra and r % pb not in rb)
+    if not rs:
+        return None
+    floor = ta
+    if b_up is not None:
+        floor = max(floor, b_up[0])
+    if b_mid:
+        floor = max(floor, max(b_mid) + 1)
+    if b_down is not None:
+        floor = max(floor, b_down[0] + 1)
+    return (_pattern_elem_at_least(p, rs, floor), p, rs)
+
+
+def _ref_residual_band(a, b, up, down):
+    """Bounded range holding every result element outside the new tails.
+
+    Above ``max(bounds) + L`` each operand is exactly its up pattern (or
+    absent), so pointwise results there agree with the tail already computed;
+    likewise below.  A joint period of padding absorbs threshold alignment.
+    """
+    bounds = [0]
+    periods = [1]
+    for s in (a, b):
+        bounds.extend(s.mid)
+        for tail in (s.up, s.down):
+            if tail is not None:
+                bounds.append(tail[0])
+                periods.append(tail[1])
+    pad = math.lcm(*periods)
+    hi = up[0] - 1 if up is not None else max(bounds) + pad
+    lo = down[0] + 1 if down is not None else min(bounds) - pad
+    return lo, hi
+
+
+def _ref_union(self, other):
+    spill = set(self.mid) | set(other.mid)
+    up = _ref_tail_union(self.up, other.up, spill, upward=True)
+    down = _ref_tail_union(self.down, other.down, spill, upward=False)
+    return IndexSet.make(up=up, down=down, mid=spill)
+
+
+def _ref_intersect(self, other):
+    if self.is_empty or other.is_empty:
+        return IndexSet.empty()
+    up = _ref_tail_intersect(self.up, other.up, upward=True)
+    down = _ref_tail_intersect(self.down, other.down, upward=False)
+    lo, hi = _ref_residual_band(self, other, up, down)
+    mid = {
+        i
+        for i in range(lo, hi + 1)
+        if self.contains(i) and other.contains(i)
+    }
+    return IndexSet.make(up=up, down=down, mid=mid)
+
+
+def _ref_difference(self, other):
+    if self.is_empty:
+        return IndexSet.empty()
+    up = _ref_tail_difference(self.up, other.up, other.mid, other.down)
+    # the down tail is the up tail of the mirror images
+    down = _flip(
+        _ref_tail_difference(
+            _flip(self.down),
+            _flip(other.down),
+            [-i for i in other.mid],
+            _flip(other.up),
+        )
+    )
+    lo, hi = _ref_residual_band(self, other, up, down)
+    mid = {
+        i
+        for i in range(lo, hi + 1)
+        if self.contains(i) and not other.contains(i)
+    }
+    return IndexSet.make(up=up, down=down, mid=mid)
+
+
+def _random_index_set(rng):
+    """An operand for the reference check: empty, all of Z, or up to two
+    tails of period 1-4 with random residues plus a few points; about 30%
+    of them spread thresholds and points over +-1000."""
+    roll = rng.random()
+    if roll < 0.05:
+        return IndexSet.empty()
+    if roll < 0.1:
+        return IndexSet.domain_set("int")
+    span = 1000 if rng.random() < 0.3 else 12
+
+    def tail():
+        p = rng.randint(1, 4)
+        rs = {r for r in range(p) if rng.random() < 0.5} or {rng.randrange(p)}
+        return (rng.randint(-span, span), p, frozenset(rs))
+
+    up = tail() if rng.random() < 0.6 else None
+    down = tail() if rng.random() < 0.6 else None
+    mid = {rng.randint(-span, span) for _ in range(rng.randint(0, 4))}
+    return IndexSet.make(up=up, down=down, mid=mid)
+
+
+def test_set_algebra_matches_tail_algebra_reference():
+    rng = random.Random(15)
+    cases = (
+        ("union", _ref_union),
+        ("intersect", _ref_intersect),
+        ("difference", _ref_difference),
+    )
+    for k in range(1500):
+        a, b = _random_index_set(rng), _random_index_set(rng)
+        for op, ref in cases:
+            got, want = getattr(a, op)(b), ref(a, b)
+            assert got == want, (k, op, a, b)
+            assert got.display("int") == want.display("int"), (k, op, a, b)
