@@ -8,11 +8,17 @@ vertex set the region analysis produces is, per ray, of the form
 :class:`IndexSet` stores that shape in a canonical form (structural equality
 is semantic equality).  On the common stride-1 case the shape collapses to the
 familiar predicates: empty, finite, {i >= k}, {i <= k}, cofinite.
+
+Union, intersection and difference follow one pointwise rule: past the
+outermost threshold or point of both operands each operand is its tail
+pattern, so the result there is a tail of the lcm period with the residues
+the operation keeps; the points in between are read one by one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -244,44 +250,13 @@ class IndexSet:
         )
 
     def union(self, other):
-        spill = set(self.mid) | set(other.mid)
-        up = _tail_union(self.up, other.up, spill, upward=True)
-        down = _tail_union(self.down, other.down, spill, upward=False)
-        return IndexSet.make(up=up, down=down, mid=spill)
+        return _pointwise(self, other, operator.or_)
 
     def intersect(self, other):
-        if self.is_empty or other.is_empty:
-            return IndexSet.empty()
-        up = _tail_intersect(self.up, other.up, upward=True)
-        down = _tail_intersect(self.down, other.down, upward=False)
-        lo, hi = _residual_band(self, other, up, down)
-        mid = {
-            i
-            for i in range(lo, hi + 1)
-            if self.contains(i) and other.contains(i)
-        }
-        return IndexSet.make(up=up, down=down, mid=mid)
+        return _pointwise(self, other, operator.and_)
 
     def difference(self, other):
-        if self.is_empty:
-            return IndexSet.empty()
-        up = _tail_difference(self.up, other.up, other.mid, other.down)
-        # the down tail is the up tail of the mirror images
-        down = _flip(
-            _tail_difference(
-                _flip(self.down),
-                _flip(other.down),
-                [-i for i in other.mid],
-                _flip(other.up),
-            )
-        )
-        lo, hi = _residual_band(self, other, up, down)
-        mid = {
-            i
-            for i in range(lo, hi + 1)
-            if self.contains(i) and not other.contains(i)
-        }
-        return IndexSet.make(up=up, down=down, mid=mid)
+        return _pointwise(self, other, lambda x, y: x and not y)
 
     # --- reporting ----------------------------------------------------------
 
@@ -349,81 +324,33 @@ def _tail_text(tail, relation):
     return f"i {relation} {t} with i mod {p} in {{{rtxt}}}"
 
 
-def _tail_union(a, b, spill, upward):
-    if a is None and b is None:
-        return None
-    if a is None or b is None:
-        return a if b is None else b
-    ta, pa, ra = a
-    tb, pb, rb = b
+def _tail_op(a, b, op, t):
+    """The tail from ``t`` whose residues satisfy ``op`` on membership in
+    the patterns of tails ``a`` and ``b`` (None: the empty pattern)."""
+    pa, ra = (a[1], a[2]) if a is not None else (1, frozenset())
+    pb, rb = (b[1], b[2]) if b is not None else (1, frozenset())
     p = math.lcm(pa, pb)
-    rs = frozenset(
-        r for r in range(p) if (r % pa in ra) or (r % pb in rb)
-    )
-    t = max(ta, tb) if upward else min(ta, tb)
-    for tt, pp, rr in (a, b):
-        rng = range(tt, t) if upward else range(t + 1, tt + 1)
-        for i in rng:
-            if i % pp in rr:
-                spill.add(i)
+    rs = frozenset(r for r in range(p) if op(r % pa in ra, r % pb in rb))
     return (t, p, rs)
 
 
-def _tail_intersect(a, b, upward):
-    if a is None or b is None:
-        return None
-    ta, pa, ra = a
-    tb, pb, rb = b
-    p = math.lcm(pa, pb)
-    rs = frozenset(r for r in range(p) if (r % pa in ra) and (r % pb in rb))
-    if not rs:
-        return None
-    t = max(ta, tb) if upward else min(ta, tb)
-    return (t, p, rs)
+def _pointwise(a, b, op):
+    """The set {i : op(i in a, i in b)} for a boolean ``op``.
 
-
-def _tail_difference(a, b_up, b_mid, b_down):
-    """The up tail of A minus B, from A's up tail ``a`` and B's parts."""
-    if a is None:
-        return None
-    ta, pa, ra = a
-    if b_up is None:
-        p, rs = pa, ra
-    else:
-        _, pb, rb = b_up
-        p = math.lcm(pa, pb)
-        rs = frozenset(r for r in range(p) if r % pa in ra and r % pb not in rb)
-    if not rs:
-        return None
-    floor = ta
-    if b_up is not None:
-        floor = max(floor, b_up[0])
-    if b_mid:
-        floor = max(floor, max(b_mid) + 1)
-    if b_down is not None:
-        floor = max(floor, b_down[0] + 1)
-    return (_pattern_elem_at_least(p, rs, floor), p, rs)
-
-
-def _residual_band(a, b, up, down):
-    """Bounded range holding every result element outside the new tails.
-
-    Above ``max(bounds) + L`` each operand is exactly its up pattern (or
-    absent), so pointwise results there agree with the tail already computed;
-    likewise below.  A joint period of padding absorbs threshold alignment.
+    Above every threshold and point of both operands, each is exactly its
+    up-tail pattern (or empty), so the result there is the up tail of the
+    lcm period; below all of them the same holds for the down tails.  The
+    points in between are read one by one, and ``make`` moves the new
+    thresholds inward.
     """
-    bounds = [0]
-    periods = [1]
-    for s in (a, b):
-        bounds.extend(s.mid)
-        for tail in (s.up, s.down):
-            if tail is not None:
-                bounds.append(tail[0])
-                periods.append(tail[1])
-    pad = math.lcm(*periods)
-    hi = up[0] - 1 if up is not None else max(bounds) + pad
-    lo = down[0] + 1 if down is not None else min(bounds) - pad
-    return lo, hi
+    bounds = [i for s in (a, b) for i in s.mid]
+    bounds += [t[0] for s in (a, b) for t in (s.up, s.down) if t is not None]
+    lo, hi = min(bounds, default=0), max(bounds, default=0)
+    return IndexSet.make(
+        up=_tail_op(a.up, b.up, op, hi + 1),
+        down=_tail_op(a.down, b.down, op, lo - 1),
+        mid=(i for i in range(lo, hi + 1) if op(a.contains(i), b.contains(i))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +432,6 @@ class SupportDescription:
         cores = f"frozenset({{{cores}}})" if cores else "frozenset()"
         return f"SupportDescription(cores={cores}, ray_parts={self.ray_parts!r})"
 
-    def parts_dict(self):
-        return dict(self.ray_parts)
-
     def ray_part(self, name):
         for n, iset in self.ray_parts:
             if n == name:
@@ -545,23 +469,19 @@ class SupportDescription:
                 return Infinite(TailWitness(name, "-", start, p))
         return Finite(self.count())
 
+    def _per_ray(self, other, cores, op):
+        names = {n for n, _ in self.ray_parts} | {n for n, _ in other.ray_parts}
+        parts = {n: op(self.ray_part(n), other.ray_part(n)) for n in names}
+        return SupportDescription.build(cores, parts)
+
     def union(self, other):
-        parts = self.parts_dict()
-        for name, iset in other.ray_parts:
-            parts[name] = parts.get(name, IndexSet.empty()).union(iset)
-        return SupportDescription.build(self.cores | other.cores, parts)
+        return self._per_ray(other, self.cores | other.cores, IndexSet.union)
 
     def intersect(self, other):
-        parts = {}
-        for name, iset in self.ray_parts:
-            parts[name] = iset.intersect(other.ray_part(name))
-        return SupportDescription.build(self.cores & other.cores, parts)
+        return self._per_ray(other, self.cores & other.cores, IndexSet.intersect)
 
     def difference(self, other):
-        parts = {}
-        for name, iset in self.ray_parts:
-            parts[name] = iset.difference(other.ray_part(name))
-        return SupportDescription.build(self.cores - other.cores, parts)
+        return self._per_ray(other, self.cores - other.cores, IndexSet.difference)
 
     def vertices(self, q):
         """All members in canonical order; the set must be finite."""
