@@ -298,7 +298,7 @@ def build_Y(q, cls, n):
         label, i, _ = eng.orbit_step(cls, at, k)
         orbit_ids.append(f"{label}@{i}")
     m_steps = len(orbit_ids)
-    bigw = eng.graph(big).window
+    g = eng.graph(big)
     # (next vertex, arrow id) of each step that stays inside the reach
     steps = {}
     dims, labels, chosen = {}, {}, {}
@@ -315,11 +315,11 @@ def build_Y(q, cls, n):
                 continue
             at_steps = steps.get(at)
             if at_steps is None:
-                at_steps = steps[at] = [
-                    (ar.target, ar.canonical_id())
-                    for ar in bigw.arrows_from(at)
-                    if ar.target == t1 or ar.target in counts1
-                ]
+                at_steps = steps[at] = []
+                for k, ti in g.out_adj[g.window.vertex_index(at)]:
+                    w = regions._vertex_at(g, ti)
+                    if w == t1 or w in counts1:
+                        at_steps.append((w, g.window.arrow(k).canonical_id()))
             for w, aid in at_steps:
                 stack.append((w, ids + (aid,)))
         if len(found) != want:
