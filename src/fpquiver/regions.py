@@ -171,6 +171,11 @@ class RegionEngine:
         self.setback = self.margin // 2
         self.base_radius = self.nstar + self.margin
         self.c_max = max((abs(c) for c in q.constants()), default=0)
+        # the guard zone: fixed endpoints and family guards lie within c_max
+        # of 0 and endpoint shifts are under bound, so past +-guard_zone
+        # every guard is settled and a vertex's translation arrows are the
+        # template's, shifted: translation facts there are periodic
+        self.guard_zone = self.c_max + self.bound + 2
         self._families = {f.label: f for f in q.families}
         # families from a templated ray index to one
         self.translation_families = [
@@ -582,7 +587,7 @@ class RegionEngine:
         out = list(self.fan_sources)
         radius = self.base_radius
         upset = self.upset(radius)
-        gz = self.c_max + self.bound + 2
+        gz = self.guard_zone
         for name in self.q.ray_names():
             for i in range(gz, gz + 2 * self.bound + 1):
                 if ray(name, i) in upset:
@@ -744,7 +749,7 @@ class RegionEngine:
         self.ensure_acyclic()
         classes = []
         reports = []
-        gz = self.c_max + self.bound + 2
+        gz = self.guard_zone
         for regime, sign, edges in (
             ("+", 1, self.full_template),
             ("-", -1, self.u_template),
@@ -961,7 +966,7 @@ class RegionEngine:
                 f"{vref.canonical_id()}"
             )
         wlen = self.bound + 2
-        z0 = self.c_max + self.bound + 2
+        z0 = self.guard_zone
         for name, dom in self.q.rays:
             zones = [range(z0, z0 + 3 * wlen)]
             if dom == DOMAIN_INT:
