@@ -19,7 +19,11 @@ on a shortcut quiver, whose paths between two vertices differ in length
 (so the basis order shows), and ``query succ`` on a stride-3 description
 whose descending tail has a residue set that is not its own mirror.  Their
 argvs also spell ``--window=N`` and put an option before positionals, so
-that the trees' command-line readers are compared too.  Every
+that the trees' command-line readers are compared too.  A mixed-stride
+description (strides 2 and 3 on two ``int`` rays, a family between them
+from index 250 and a core arrow to index -301) runs ``classify``,
+``query pred r:b:400`` and ``query boundary (b,+,1)``, whose set algebra
+meets lcm periods and a pointwise band hundreds of indices wide.  Every
 distinct seed-1 and seed-2 ``reps`` build is written out with ``dump_rep``
 followed by its socle and radical dimensions, the basis labels of each
 support vertex, and the hom dimension and realize/extract round trip at the
@@ -94,6 +98,16 @@ STRIDE3 = (
     "arrow x: b[1] -> a[1]\n"
 )
 
+# strides 2 and 3 (lcm 6) and thresholds hundreds apart, so the set algebra
+# meets lcm periods and a wide band of points between the tails
+MIXED = (
+    "quiver mixed\nray a domain int\nray b domain int\nvertex c\n"
+    "family p: a[i] -> a[i+2] for i >= -7\n"
+    "family q: b[i] -> b[i+3] for i >= 4\n"
+    "family s: a[i] -> b[i+1] for i >= 250\n"
+    "arrow g: c -> a[-301]\n"
+)
+
 
 def dense_text(rays, name):
     """``rays`` int rays with a family from each ray to every other, one
@@ -127,6 +141,9 @@ SCALING = (
     ("shortcut", "rep --dump P r:a:0 --window 3", SHORTCUT),
     ("shortcut", "rep I r:b:3 --window=3 --dump", SHORTCUT),
     ("stride3", "query succ r:b:1", STRIDE3),
+    ("mixed", "classify", MIXED),
+    ("mixed", "query pred r:b:400", MIXED),
+    ("mixed", "query boundary (b,+,1)", MIXED),
 )
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
