@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import regions
 from .patterns import Finite
-from .qdl import instantiate_window, parse
+from .qdl import DOMAIN_NAT, core, instantiate_window, parse, ray
 
 
 class CycleDetected(Exception):
@@ -278,6 +278,62 @@ def window_convergence_probe(q, query, radii):
                 f"at radii {radii}"
             )
     return tuple(vals)
+
+
+def brute_ia(q):
+    """The I_a criterion, read off explicit windows alone.
+
+    Returns ``{vertex: bool}`` for each core vertex and each ray point with
+    |i| <= nstar, True where the injective is finitely presented.  Windows
+    at radii 2·nstar + 4b + k·(b+1), k = 0, 1, 2, with b = (R+1)(s+1), are
+    searched backwards from each vertex: a predecessor count that grows
+    strictly across them is infinite, one that stays put is finite, and any
+    other trace raises OracleMismatch.  A predecessor in the smallest window
+    whose out-degree grows from the smallest window to the largest is a fan
+    source, so it has infinite out-degree.
+    """
+    nstar = regions.stabilization_index(q)
+    b = (len(q.rays) + 1) * (q.max_shift() + 1)
+    windows = []
+    for k in range(3):
+        w = instantiate_window(q, 2 * nstar + 4 * b + k * (b + 1))
+        into, outdeg = {}, {}
+        for ar in w.arrows:
+            into.setdefault(ar.target, []).append(ar.source)
+            outdeg[ar.source] = outdeg.get(ar.source, 0) + 1
+        windows.append((into, outdeg))
+    points = [core(name) for name in q.core_vertices]
+    for name, dom in q.rays:
+        lo = 0 if dom == DOMAIN_NAT else -nstar
+        points.extend(ray(name, i) for i in range(lo, nstar + 1))
+    out = {}
+    for v in points:
+        preds = [_upstream(into, v) for into, _ in windows]
+        counts = [len(p) for p in preds]
+        if counts[0] < counts[1] < counts[2]:
+            out[v] = False
+        elif counts[0] == counts[1] == counts[2]:
+            first, last = windows[0][1], windows[-1][1]
+            out[v] = all(first.get(p, 0) == last.get(p, 0) for p in preds[0])
+        else:
+            raise OracleMismatch(
+                f"predecessor counts of {v.canonical_id()} neither fixed nor "
+                f"strictly growing: {counts}"
+            )
+    return out
+
+
+def _upstream(into, v):
+    """Every vertex with a path to ``v`` (``v`` included), by reverse BFS
+    over the ``into`` lists of one window."""
+    seen = {v}
+    work = [v]
+    while work:
+        for u in into.get(work.pop(), ()):
+            if u not in seen:
+                seen.add(u)
+                work.append(u)
+    return seen
 
 
 # ---------------------------------------------------------------------------
