@@ -151,12 +151,62 @@ def _ray_no_set(q):
     return eng.infinite_pred_set().union(eng.fan_successor_set())
 
 
+def _pointwise_ia(eng):
+    """The vertex criterion at every ray point, from one pass: a function
+    ``(ray name, index) -> bool``, True where the injective is finitely
+    presented.
+
+    A point fails when it has infinitely many predecessors or a predecessor
+    of infinite out-degree.  Predecessors in Q are successors in the
+    opposite quiver, so the pass walks the opposite engine's window graph
+    at R = base_radius + nstar.  It flags four kinds of vertex with level
+    <= R: the opposite quiver's fan sources, its pump positions, the
+    vertices of its descent rays (whose unguarded template reaches a cycle
+    of negative gain) and this quiver's own fan sources.  Then a vertex is
+    flagged when one of its targets is, in reverse topological order.
+
+    ``ia_fp`` reads a point i at radius base_radius + |i| instead.  The one
+    radius R, the widest of those, agrees with all of them:
+
+    * every seed certifies an infinite set at any radius.  A pump path
+      shifts upward because guards are lower bounds, a fan hits a whole
+      ray tail, and an unguarded negative cycle descends forever, so each
+      has infinitely many successors in the opposite quiver; this
+      quiver's fan sources have infinite out-degree;
+    * a wider window only adds paths, and those it adds leave the setback
+      of Window(base_radius + |i|), where the re-routing argument of
+      :class:`~fpquiver.regions.RegionEngine` finds the same seed kind
+      reached inside it;
+    * ``classify`` compares this pass with the symbolic sets at every
+      point and raises if either side is wrong.
+    """
+    op = eng.op()
+    radius = eng.base_radius + eng.nstar
+    g = op.graph(radius)
+    w = g.window
+    live = [lv <= radius for lv in g.level]
+    flag = [
+        ok and name in op.descent_rays for name, ok in zip(g.rays_at, live)
+    ]
+    for vi in regions._pump_positions(g, live):
+        flag[vi] = True
+    for v in (*op.fan_sources, *eng.fan_sources):
+        flag[w.vertex_index(v)] = True
+    out_adj = g.out_adj
+    for vi in reversed(g.topo):
+        if live[vi] and not flag[vi]:
+            flag[vi] = any(flag[ti] for _, ti in out_adj[vi])
+    return lambda name, i: not flag[w.vertex_index(ray(name, i))]
+
+
 def classify(q):
     """The injective catalog of fp(Q); requires interval finiteness."""
     eng = regions.engine_for(q)
     eng.ensure_interval_finite()
     ia_core = tuple((name, ia_fp(q, core(name))) for name in q.core_vertices)
     no_supp = _ray_no_set(q)
+    # without rays there is no point to check, and no window to build
+    pointwise = _pointwise_ia(eng) if q.rays else None
     ia_rays = []
     for name, dom in q.rays:
         domain = IndexSet.domain_set(dom)
@@ -176,8 +226,7 @@ def classify(q):
             )
         lo = 0 if dom == "nat" else -eng.nstar
         for i in range(lo, eng.nstar + 1):
-            pointwise = ia_fp(q, ray(name, i)).is_yes
-            if pointwise != yes_set.contains(i):
+            if pointwise(name, i) != yes_set.contains(i):
                 raise InternalConsistencyError(
                     f"symbolic verdict for {name}[{i}] disagrees with the "
                     "pointwise criterion"

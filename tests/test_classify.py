@@ -1,11 +1,19 @@
 """Injective classification: pointwise criteria and full catalogs."""
 
+import importlib
+import random
+
 import pytest
 
+from conftest import load_gen, load_quiver
+from fpquiver import oracle
 from fpquiver.classify import Verdict, classify, ia_fp, yp_fp
-from fpquiver.patterns import TailWitness
+from fpquiver.patterns import InternalConsistencyError, TailWitness
 from fpquiver.qdl import core, parse, ray
 from fpquiver.regions import NotIntervalFinite, engine_for
+
+# the module, which the package's ``classify`` function shadows
+classify_module = importlib.import_module("fpquiver.classify")
 
 
 def classes_by_id(q):
@@ -135,3 +143,60 @@ def test_ray_verdict_lookup(ex5):
     by_ray = {rv.ray: rv for rv in cat.ia_rays}
     assert by_ray["a"].verdict_at(3) == "yes"
     assert by_ray["b"].verdict_at(3) == "no"
+
+
+def _pass_inputs():
+    """Descriptions for the one-pass check: the fixtures, a corpus sample of
+    interval-finite fragments, random draws, ladders, far constants and a
+    dense template."""
+    gen = load_gen()
+    out = [load_quiver(f"ex{k}") for k in range(1, 6)]
+    labels = gen.corpus_labels()
+    finite = [j for j, x in enumerate(labels) if x in ("f", "d")]
+    for j in sorted(random.Random("one-pass").sample(finite, 40)):
+        out.append(parse(gen.fragment(j)[0]))
+    rng = random.Random("one-pass-draws")
+    draws = [oracle.random_description(rng, f"rnd{k}") for k in range(120)]
+    out += [q for q in draws if engine_for(q).interval_finite_witness()[0]]
+    for rays, shift, dom in ((2, 1, "int"), (3, 1, "nat"), (4, 1, "int"),
+                             (2, 2, "nat")):
+        out.append(parse(gen.ladder_text(random.Random(0), rays, shift, dom,
+                                         f"ladder{rays}s{shift}{dom}")[0]))
+    for c in (5, 30, 145, 300):
+        out.append(parse(gen.far_text(random.Random(0), c, f"far{c}")[0]))
+    # every a[i] into c, so b[2] and above have infinitely many predecessors
+    out.append(parse(
+        "quiver sinkfan\nvertex c\nray a domain nat\nray b domain nat\n"
+        "family f: a[i] -> c for i >= 0\n"
+        "family h: b[i] -> b[i+1] for i >= 0\narrow g: c -> b[2]\n"))
+    # a dense template: six int rays, a family from each to every other
+    dense = ["quiver dense6"] + [f"ray r{k} domain int" for k in range(6)]
+    dense += [f"family f{k}_{j}: r{k}[i] -> r{j}[i+1] for all i"
+              for k in range(6) for j in range(6) if k != j]
+    out.append(parse("\n".join(dense) + "\n"))
+    return out
+
+
+@pytest.mark.parametrize("q", _pass_inputs(), ids=lambda q: q.name)
+def test_one_pass_matches_ia_fp_at_every_point(q):
+    eng = engine_for(q)
+    eng.ensure_interval_finite()
+    pointwise = classify_module._pointwise_ia(eng)
+    for name, dom in q.rays:
+        lo = 0 if dom == "nat" else -eng.nstar
+        for i in range(lo, eng.nstar + 1):
+            assert pointwise(name, i) == ia_fp(q, ray(name, i)).is_yes, (
+                name, i)
+
+
+def test_a_disagreeing_pointwise_verdict_raises(ex1, monkeypatch):
+    one_pass = classify_module._pointwise_ia
+
+    def flipped(eng):
+        yes_at = one_pass(eng)
+        return lambda name, i: yes_at(name, i) != (i == 3)
+
+    monkeypatch.setattr(classify_module, "_pointwise_ia", flipped)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"symbolic verdict for a\[3\] disagrees"):
+        classify(ex1)

@@ -3,14 +3,14 @@
 Every seed-1 and seed-2 ``catalog-cold`` request runs through
 ``fpquiver.cli.main`` in-process, with the engine cache cleared before each
 request, and so do the scaling shapes the benchmark stops short of:
-``classify`` on far constants C=300 and C=600 (where the cost of the
-pointwise check grows as C squared) and on the R=4 and R=5 ``int`` ladders,
-``validate`` on the R=5 ladder, ``validate`` on the R=5 ladder with a
-fan into its first ray and a fan out of its last, which is not interval
-finite through a pair of distinct vertices (exit 3), and ``validate`` on
-the R=6 shift-1 ``nat`` ladder and the R=5 shift-2 ``int`` ladder, two
-acyclic inputs with a large (ray, gain) space for the cycle search, and on
-dense templates (N ``int`` rays with the N(N-1) families
+``classify`` on far constants C=300, C=600 and C=1000 (the window, and
+with it the one-pass pointwise check, grows with C) and on the R=4 and R=5
+``int`` ladders, ``validate`` on the R=5 ladder, ``validate`` on the R=5
+ladder with a fan into its first ray and a fan out of its last, which is
+not interval finite through a pair of distinct vertices (exit 3), and
+``validate`` on the R=6 shift-1 ``nat`` ladder and the R=5 shift-2 ``int``
+ladder, two acyclic inputs with a large (ray, gain) space for the cycle
+search, and on dense templates (N ``int`` rays with the N(N-1) families
 ``rK[i] -> rJ[i+1] for all i``, K != J, one strongly connected component
 with far more cycles than rays): ``validate`` at N=9 and ``classify`` at N=6,
 which reports infinitely many tail classes.  Three small descriptions catch
@@ -123,6 +123,8 @@ def dense_text(rays, name):
 SCALING = (
     ("far300", "classify", gen.far_text(random.Random(0), 300, "far300")[0]),
     ("far600", "classify", gen.far_text(random.Random(0), 600, "far600")[0]),
+    ("far1000", "classify",
+     gen.far_text(random.Random(0), 1000, "far1000")[0]),
     ("ladder4", "classify",
      gen.ladder_text(random.Random(0), 4, 1, "int", "ladder4")[0]),
     ("ladder5", "classify",
