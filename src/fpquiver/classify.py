@@ -163,7 +163,7 @@ def _pointwise_ia(eng):
     <= R: the opposite quiver's fan sources, its pump positions, the
     vertices of its descent rays (whose unguarded template reaches a cycle
     of negative gain) and this quiver's own fan sources.  Then a vertex is
-    flagged when one of its targets is, in reverse topological order.
+    flagged too when one of its targets is, in reverse topological order.
 
     ``ia_fp`` reads a point i at radius base_radius + |i| instead.  The one
     radius R, the widest of those, agrees with all of them:
@@ -173,10 +173,11 @@ def _pointwise_ia(eng):
       ray tail, and an unguarded negative cycle descends forever, so each
       has infinitely many successors in the opposite quiver; this
       quiver's fan sources have infinite out-degree;
-    * a wider window only adds paths, and those it adds leave the setback
-      of Window(base_radius + |i|), where the re-routing argument of
-      :class:`~fpquiver.regions.RegionEngine` finds the same seed kind
-      reached inside it;
+    * a wider window only adds paths.  A seed that the pass reaches from
+      point i but Window(base_radius + |i|) does not lies past that
+      window's setback, and the re-routing argument behind the margin of
+      :class:`~fpquiver.regions.RegionEngine` puts a seed of the same kind
+      inside it, so ``ia_fp`` says no at i as well;
     * ``classify`` compares this pass with the symbolic sets at every
       point and raises if either side is wrong.
     """

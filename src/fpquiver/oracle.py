@@ -112,6 +112,12 @@ def brute_reach_count(g, v, reverse=False):
             adj.setdefault(t, []).append(s)
         else:
             adj.setdefault(s, []).append(t)
+    return len(_closure(adj, v))
+
+
+def _closure(adj, v):
+    """Every vertex with a path from ``v`` along the lists ``adj``, ``v``
+    included."""
     seen = {v}
     work = [v]
     while work:
@@ -119,7 +125,7 @@ def brute_reach_count(g, v, reverse=False):
             if w not in seen:
                 seen.add(w)
                 work.append(w)
-    return len(seen)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +314,7 @@ def brute_ia(q):
         points.extend(ray(name, i) for i in range(lo, nstar + 1))
     out = {}
     for v in points:
-        preds = [_upstream(into, v) for into, _ in windows]
+        preds = [_closure(into, v) for into, _ in windows]
         counts = [len(p) for p in preds]
         if counts[0] < counts[1] < counts[2]:
             out[v] = False
@@ -321,19 +327,6 @@ def brute_ia(q):
                 f"strictly growing: {counts}"
             )
     return out
-
-
-def _upstream(into, v):
-    """Every vertex with a path to ``v`` (``v`` included), by reverse BFS
-    over the ``into`` lists of one window."""
-    seen = {v}
-    work = [v]
-    while work:
-        for u in into.get(work.pop(), ()):
-            if u not in seen:
-                seen.add(u)
-                work.append(u)
-    return seen
 
 
 # ---------------------------------------------------------------------------
