@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fpquiver.qdl import parse
+from fpquiver.qdl import instantiate_window, parse
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -32,6 +32,24 @@ def load_gen():
     finally:
         sys.dont_write_bytecode = saved
     return gen
+
+
+def window_targets(q, v, radius):
+    """Targets of the arrows out of ``v`` in Window(radius) of ``q``.
+
+    Read from the window's statement layout, the list its arrows are built
+    from, so that a far vertex does not instantiate a wide window's arrows.
+    """
+    out = set()
+    for _, st, indices in instantiate_window(q, radius).layout.statements:
+        if st.source.is_var:
+            i = v.index - st.source.shift
+            on_ray = v.kind == "ray" and v.name == st.source.name
+            picked = [i] if on_ray and i in indices else []
+        else:
+            picked = indices if st.source.resolve() == v else ()
+        out.update(st.target.resolve(i) for i in picked)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import load_gen, load_quiver
 from fpquiver import ratmat
 from fpquiver.linrep import (
     InfiniteDimensionAt,
@@ -24,7 +25,7 @@ from fpquiver.linrep import (
     subrep_generated,
     zero_rep,
 )
-from fpquiver.qdl import Path, core, instantiate_window, ray
+from fpquiver.qdl import Path, VertexRef, core, instantiate_window, parse, ray
 from fpquiver.regions import PreconditionError, engine_for
 
 
@@ -278,3 +279,48 @@ def test_dump_rep(ex1):
     assert "arrow alpha@0 1x1" in d
     assert "\n1/1\n" in d or d.endswith("1/1")
     assert d == dump_rep(build_P(ex1, ray("a", 0), 3))
+
+
+def _rep_builds():
+    # every distinct build of the benchmark's seed-1 and seed-2 reps
+    # passes, and P and I at the small vertices of each fixture
+    gen = load_gen()
+    builds = {}
+    for seed in (1, 2):
+        for name, text, build, where, n, _op in gen.reps_pass(seed):
+            builds.setdefault((text, build, where, n), name)
+    out = [pytest.param(parse(text), build, where, n, id=name)
+           for (text, build, where, n), name in builds.items()]
+    for k in range(1, 6):
+        q = load_quiver(f"ex{k}")
+        for v in instantiate_window(q, 1).vertices:
+            for build in ("P", "I"):
+                out.append(pytest.param(
+                    q, build, v, 3, id=f"ex{k}-{build}-{v.canonical_id()}"))
+    return out
+
+
+def _flag_rule(eng, m):
+    """Support vertices that are a fan source of ``eng`` or have an
+    out-neighbour outside the window."""
+    return frozenset(
+        v for v in m.window.vertices
+        if m.dim(v) and (v in eng.fan_sources or not all(
+            m.window.contains(t) for t in eng.out_neighbors(v).vertices(eng.q)))
+    )
+
+
+@pytest.mark.parametrize("q, build, where, n", _rep_builds())
+def test_boundary_flags_follow_the_out_neighbour_rule(q, build, where, n):
+    if build == "Y":
+        classes, _ = engine_for(q).tail_classes()
+        m = build_Y(q, next(c for c in classes if c.ray == q.rays[0][0]), n)
+    else:
+        at = where if isinstance(where, VertexRef) else ray(*where)
+        try:
+            m = (build_P if build == "P" else build_I)(q, at, n)
+        except InfiniteDimensionAt:
+            return
+    eng = engine_for(q)
+    assert socle(m).boundary == _flag_rule(eng, m)
+    assert radical(m).boundary == _flag_rule(eng.op(), m)

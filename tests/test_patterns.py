@@ -1,6 +1,7 @@
 """Symbolic index sets and support descriptions."""
 
 import math
+import operator
 import random
 
 import pytest
@@ -13,6 +14,8 @@ from fpquiver.patterns import (
     TailWitness,
     _flip,
     _pattern_elem_at_least,
+    _pointwise,
+    _tail_op,
 )
 from fpquiver.qdl import core, ray
 
@@ -315,3 +318,40 @@ def test_set_algebra_matches_tail_algebra_reference():
             got, want = getattr(a, op)(b), ref(a, b)
             assert got == want, (k, op, a, b)
             assert got.display("int") == want.display("int"), (k, op, a, b)
+
+
+def _band_pointwise(a, b, op):
+    """The pointwise rule that reads every index between the outermost
+    thresholds and points of both operands."""
+    bounds = [i for s in (a, b) for i in s.mid]
+    bounds += [t[0] for s in (a, b) for t in (s.up, s.down) if t is not None]
+    lo, hi = min(bounds, default=0), max(bounds, default=0)
+    return IndexSet.make(
+        up=_tail_op(a.up, b.up, op, hi + 1),
+        down=_tail_op(a.down, b.down, op, lo - 1),
+        mid=(i for i in range(lo, hi + 1) if op(a.contains(i), b.contains(i))),
+    )
+
+
+def _far_operand(rng):
+    """Up to four points within +-5000, and about half the time a tail or
+    two of period 1-3 from there too."""
+    mid = {rng.randint(-5000, 5000) for _ in range(rng.randint(0, 4))}
+    up = down = None
+    if rng.random() < 0.5:
+        p = rng.randint(1, 3)
+        rs = frozenset({rng.randrange(p)})
+        if rng.random() < 0.7:
+            up = (rng.randint(-5000, 5000), p, rs)
+        if rng.random() < 0.5:
+            down = (rng.randint(-5000, 5000), p, rs)
+    return IndexSet.make(up=up, down=down, mid=mid)
+
+
+def test_pointwise_matches_the_full_band():
+    rng = random.Random("far operands")
+    ops = (operator.or_, operator.and_, lambda x, y: x and not y)
+    for k in range(60):
+        a, b = _far_operand(rng), _far_operand(rng)
+        for op in ops:
+            assert _pointwise(a, b, op) == _band_pointwise(a, b, op), (k, a, b)

@@ -6,17 +6,24 @@ from collections import deque
 
 import pytest
 
-from conftest import load_gen, load_quiver
+from conftest import load_gen, load_quiver, window_targets
 from fpquiver import cli, oracle, regions
 from fpquiver.classify import classify
 from fpquiver.patterns import (
     Finite,
+    IndexSet,
     Infinite,
     InternalConsistencyError,
     SupportDescription,
 )
 from fpquiver.qdl import ArrowRef, Path, core, instantiate_window, parse, ray
-from fpquiver.regions import NotIntervalFinite, RegionEngine, TailClass, engine_for
+from fpquiver.regions import (
+    NotIntervalFinite,
+    RegionEngine,
+    StageResult,
+    TailClass,
+    engine_for,
+)
 
 
 def test_corpus_is_acyclic(corpus):
@@ -859,3 +866,143 @@ def test_cycle_search_checks_the_template_test(monkeypatch):
                         lambda nodes, edges: {nodes[-1]})
     with pytest.raises(InternalConsistencyError, match="gain 0"):
         RegionEngine(q).cycle_witness()
+
+
+# --- one rule per one-step fact: reference versions of each -------------
+
+
+def _neighbor_quivers():
+    rng = random.Random("out-neighbours")
+    return [load_quiver(f"ex{k}") for k in range(1, 6)] + [
+        oracle.random_description(rng, f"rnd{k}") for k in range(30)
+    ]
+
+
+@pytest.mark.parametrize("q", _neighbor_quivers(), ids=lambda q: q.name)
+def test_out_neighbors_are_the_window_targets(q):
+    # a fan source has infinitely many targets; any other vertex has those
+    # of its arrows in a window nstar wider than its own index
+    eng = RegionEngine(q)
+    for e in (eng, eng.op()):
+        for v in instantiate_window(e.q, eng.nstar).vertices:
+            got = e.out_neighbors(v)
+            if v in e.fan_sources:
+                assert isinstance(got.cardinality(e.q), Infinite), v
+            else:
+                want = window_targets(e.q, v, abs(v.index) + eng.nstar)
+                assert set(got.vertices(e.q)) == want, v
+
+
+def test_out_neighbors_of_a_far_vertex(ex5):
+    eng = RegionEngine(ex5)
+    far = ray("b", 100000)
+    for e in (eng, eng.op()):
+        want = window_targets(e.q, far, 100000 + eng.nstar)
+        assert want and set(e.out_neighbors(far).vertices(e.q)) == want
+    assert (regions.in_neighbors(ex5, far)
+            == engine_for(ex5.opposite()).out_neighbors(far))
+
+
+def _threshold_tails(eng, radius):
+    """The pump set's tails per ray by the threshold walk: on each side, the
+    run of pumps that ends at the window edge ``radius``, read from a window
+    ``bound + 2`` wider; pumps near an edge that miss it are ragged."""
+    big = eng.upset(radius + eng.bound + 2)
+    out = {}
+    for name, dom in eng.q.rays:
+        data = {v.index for v in big
+                if v.name == name and abs(v.index) <= radius}
+        if not data:
+            continue
+        iset = IndexSet.empty()
+        for sign in (1, -1) if dom == "int" else (1,):
+            side = {sign * i for i in data}
+            if radius not in side:
+                if max(side) > radius - eng.bound - 2:
+                    raise InternalConsistencyError(f"ragged pumps on {name}")
+                continue
+            t = radius
+            while t - 1 in side:
+                t -= 1
+            iset = iset.union(IndexSet.up_from(t) if sign == 1
+                              else IndexSet.down_from(-t))
+        if not iset.is_empty:
+            out[name] = iset
+    return out
+
+
+def _engine_inputs():
+    # the fixtures, random draws, corpus fragments labelled interval finite
+    # and ladders; the cyclic draws are left out by the tests that need
+    # an acyclic window
+    gen = load_gen()
+    out = [load_quiver(f"ex{k}") for k in range(1, 6)]
+    rng = random.Random("one-step")
+    out += [oracle.random_description(rng, f"rnd{k}") for k in range(60)]
+    finite = [j for j, x in enumerate(gen.corpus_labels()) if x == "f"]
+    for j in sorted(random.Random("one-step").sample(finite, 40)):
+        out.append(parse(gen.fragment(j)[0]))
+    for rays, shift, dom in ((2, 1, "int"), (3, 1, "nat"), (3, 2, "int")):
+        out.append(parse(gen.ladder_text(random.Random(0), rays, shift, dom,
+                                         f"ladder{rays}s{shift}{dom}")[0]))
+    return out
+
+
+@pytest.mark.parametrize("q", _engine_inputs(), ids=lambda q: q.name)
+def test_pump_tails_match_the_threshold_walk(q):
+    eng = RegionEngine(q)
+    if eng.cycle_witness() is not None:
+        return
+    for e in (eng, eng.op()):
+        assert e._upset_tails(e.base_radius) == _threshold_tails(
+            e, e.base_radius)
+
+
+def _reference_chain(eng, rest):
+    """The backward chain read from the window's own in-arrow lists."""
+    card = rest.cardinality(eng.q)
+    if isinstance(card, Infinite):
+        elem = card.witness.instances(1)[0]
+    else:
+        elem = rest.vertices(eng.q)[0]
+    w = instantiate_window(eng.q, eng.base_radius + abs(elem.index))
+    arrows = []
+    cur = elem
+    for _ in range(2 * eng.bound + 4):
+        step = [a for a in w.arrows_into(cur) if rest.contains(a.source)]
+        if not step:
+            break
+        arrows.append(step[0])
+        cur = step[0].source
+    arrows.reverse()
+    return Path(cur, tuple(arrows))
+
+
+def _reference_top_finite(eng, supp):
+    """The top-finite stage with its cover as a union of one reach per
+    generator."""
+    sources = supp.difference(eng.step_image(supp))
+    card = sources.cardinality(eng.q)
+    if isinstance(card, Infinite):
+        return StageResult(False, detail="infinitely many sources",
+                           witness=card.witness)
+    gens = sources.vertices(eng.q)
+    cover = SupportDescription.build()
+    for g in gens:
+        cover = cover.union(eng.successors(g))
+    rest = supp.difference(cover)
+    if not rest.is_empty:
+        return StageResult(False, detail="not generated from its sources",
+                           witness=_reference_chain(eng, rest))
+    return StageResult(True, detail=tuple(gens))
+
+
+@pytest.mark.parametrize("q", _engine_inputs(), ids=lambda q: q.name)
+def test_top_finite_stage_matches_the_union_of_reaches(q):
+    eng = RegionEngine(q)
+    if eng.cycle_witness() is not None or not eng.interval_finite_witness()[0]:
+        return
+    for cls in eng.tail_classes()[0]:
+        supp = eng.class_support(cls)
+        want = _reference_top_finite(RegionEngine(q), supp)
+        assert eng.top_finite_stage(supp) == want, cls
