@@ -162,7 +162,7 @@ def cmd_query(args):
         cls = _class_arg(q, rest[0])
         supp = eng.class_support(cls)
         if kind == "boundary":
-            supp = eng.step_image(supp).difference(supp)
+            supp = eng.boundary_stage(supp).detail
         lines.append(f"result: {supp.summary(q)}")
     else:  # pragma: no cover - parse_argv restricts choices
         raise UnknownIdError(f"unknown query kind {kind!r}")

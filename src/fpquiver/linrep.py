@@ -406,8 +406,14 @@ def _neighbors_inside(eng, v, window):
     (never, at a fan source: it has infinitely many)."""
     if v in eng.fan_sources:
         return False
-    targets = eng.out_neighbors(v).vertices(eng.q)
-    return all(window.contains(w) for w in targets)
+    # any other vertex's targets lie within max_shift of it or at a constant
+    # |c| <= c_max, both inside radius + nstar, so the engine graph that
+    # wide holds every arrow out of v
+    g = eng.graph(window.radius + eng.nstar)
+    return all(
+        g.level[ti] <= window.radius
+        for _, ti in g.out_adj[g.window.vertex_index(v)]
+    )
 
 
 def socle(m):

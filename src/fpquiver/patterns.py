@@ -12,7 +12,9 @@ familiar predicates: empty, finite, {i >= k}, {i <= k}, cofinite.
 Union, intersection and difference follow one pointwise rule: past the
 outermost threshold or point of both operands each operand is its tail
 pattern, so the result there is a tail of the lcm period with the residues
-the operation keeps; the points in between are read one by one.
+the operation keeps; the points in between are read one by one.  When the
+result lies inside the operands' points (both finite, or an intersection
+or difference inside a finite operand), only those points are read.
 """
 
 from __future__ import annotations
@@ -342,7 +344,16 @@ def _pointwise(a, b, op):
     lcm period; below all of them the same holds for the down tails.  The
     points in between are read one by one, and ``make`` moves the new
     thresholds inward.
+
+    Off its points a finite operand holds nothing.  When ``op`` is false
+    on every pair of memberships the operands allow off their points, the
+    result lies inside those points, and only they are read.
     """
+    off = [(False,) if s.is_finite else (False, True) for s in (a, b)]
+    if not any(op(x, y) for x in off[0] for y in off[1]):
+        return IndexSet.make(
+            mid=(i for i in a.mid | b.mid if op(a.contains(i), b.contains(i)))
+        )
     bounds = [i for s in (a, b) for i in s.mid]
     bounds += [t[0] for s in (a, b) for t in (s.up, s.down) if t is not None]
     lo, hi = min(bounds, default=0), max(bounds, default=0)

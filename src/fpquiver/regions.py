@@ -48,6 +48,7 @@ from .qdl import (
     DOMAIN_NAT,
     Path,
     VertexRef,
+    _instance,
     core,
     instantiate_window,
     ray,
@@ -472,43 +473,10 @@ class RegionEngine:
 
     def out_neighbors(self, vref):
         """One-step targets as a set (parallel arrows collapse)."""
-        cores = set()
-        parts = {}
-
-        def add(ref):
-            if ref.kind == "core":
-                cores.add(ref.name)
-            else:
-                parts[ref.name] = parts.get(ref.name, IndexSet.empty()).union(
-                    IndexSet.of([ref.index])
-                )
-
-        for a in self.q.arrows:
-            if a.source.resolve() == vref:
-                tgt = a.target.resolve()
-                if self.q.has_vertex(tgt):
-                    add(tgt)
-        for f in self.q.families:
-            src, tgt = f.source, f.target
-            if src.is_var:
-                if vref.kind != "ray" or vref.name != src.name:
-                    continue
-                i = vref.index - src.shift
-                if f.lower is not None and i < f.lower:
-                    continue
-                target = tgt.resolve(i)
-                if self.q.has_vertex(target):
-                    add(target)
-            elif src.resolve() == vref:
-                if f.lower is None:
-                    iset = IndexSet.domain_set(DOMAIN_INT)
-                else:
-                    iset = IndexSet.up_from(f.lower + tgt.shift)
-                iset = iset.intersect(
-                    IndexSet.domain_set(self.q.domain(tgt.name))
-                )
-                parts[tgt.name] = parts.get(tgt.name, IndexSet.empty()).union(iset)
-        return SupportDescription.build(cores, parts)
+        if vref.kind == "core":
+            return self.step_image(SupportDescription.build([vref.name]))
+        part = {vref.name: IndexSet.of([vref.index])}
+        return self.step_image(SupportDescription.build(parts=part))
 
     def in_neighbors(self, vref):
         return self.op().out_neighbors(vref)
@@ -654,46 +622,30 @@ class RegionEngine:
     # --- classification support sets ---------------------------------------------------
 
     def _upset_tails(self, radius):
-        """Tail structure of the pump-config set per ray.
+        """The pump set per ray, fitted like a reach set.
 
-        Above the guard zone the pump set is upward closed (shift a pump
-        path up by one) and at very negative indices membership depends on
-        the ray alone, so each side is a plain threshold tail anchored at
-        the window edge of a slightly larger, hence exact, window."""
+        A pump is a config whose translation arrows lead to a higher index
+        on its own ray.  A pump path climbs less than ``bound`` (a simple
+        template cycle visits each ray at most once), so a window ``bound +
+        2`` wider holds the pumps with |index| <= radius exactly.  Guards
+        are lower bounds, so past the guard zone the pump set is closed
+        upward.  The fit is flagged up where the pumps reach ``radius`` and
+        down where they reach ``-radius``.  It raises on pumps within
+        ``setback`` (more than ``bound + 2``) of an edge they do not reach
+        and on a band with no period, so a ragged pump set raises."""
         big = self.upset(radius + self.bound + 2)
-        out = {}
-        for name, dom in self.q.rays:
-            data = {v.index for v in big if v.name == name and abs(v.index) <= radius}
-            if not data:
-                continue
-            iset = IndexSet.empty()
-            t = self._pump_threshold(name, data, radius, "top")
-            if t is not None:
-                iset = iset.union(IndexSet.up_from(t))
-            if dom == DOMAIN_INT:
-                # the bottom is the top of the mirror image
-                t = self._pump_threshold(
-                    name, {-i for i in data}, radius, "bottom"
-                )
-                if t is not None:
-                    iset = iset.union(IndexSet.down_from(-t))
-            if not iset.is_empty:
-                out[name] = iset
-        return out
-
-    def _pump_threshold(self, name, data, radius, edge):
-        """Start of the run of ``data`` that ends at the window edge
-        ``radius``, or None when the edge is not in ``data``."""
-        if radius not in data:
-            if max(data) > radius - self.bound - 2:
-                raise InternalConsistencyError(
-                    f"ragged pump-set {edge} on ray {name}"
-                )
-            return None
-        t = radius
-        while (t - 1) in data:
-            t -= 1
-        return t
+        data = {name: set() for name in self.q.ray_names()}
+        for v in big:
+            if abs(v.index) <= radius:
+                data[v.name].add(v.index)
+        return {
+            name: self._fit_ray(
+                name, data[name], dom, radius,
+                radius in data[name], -radius in data[name],
+            )
+            for name, dom in self.q.rays
+            if data[name]
+        }
 
     def _trigger_bundle(self):
         """(seeds, seed_tails) covering every config whose successor set is
@@ -897,38 +849,39 @@ class RegionEngine:
         if isinstance(card, Infinite):
             return StageResult(False, detail="infinitely many sources", witness=card.witness)
         gens = sources.vertices(self.q)
-        cover = SupportDescription.build()
-        for gen in gens:
-            cover = cover.union(self.successors(gen))
+        self.ensure_acyclic()
+        cover = self._succ_support(gens, self._query_radius(*gens))
         rest = supp.difference(cover)
         if not rest.is_empty:
             return StageResult(
                 False,
                 detail="not generated from its sources",
-                witness=self._backward_chain(supp, rest),
+                witness=self._backward_chain(rest),
             )
         return StageResult(True, detail=tuple(gens))
 
-    def _backward_chain(self, supp, rest):
+    def _backward_chain(self, rest):
         """A concrete chain witnessing endless regression inside ``rest``."""
         card = rest.cardinality(self.q)
         if isinstance(card, Infinite):
             elem = card.witness.instances(1)[0]
         else:
             elem = rest.vertices(self.q)[0]
-        radius = self.base_radius + abs(elem.index if elem.kind == "ray" else 0)
-        w = self.graph(radius).window
+        radius = self.base_radius + abs(elem.index)
+        # in-arrows are the opposite quiver's out-arrows, listed in the
+        # window's label and index order
+        g = self.op().graph(radius)
         arrows = []
         cur = elem
         for _ in range(2 * self.bound + 4):
-            for a in w.arrows_into(cur):
-                src = a.source
-                if self.q.vertex_in_window(src, radius) and rest.contains(src):
+            for k, ti in g.out_adj[g.window.vertex_index(cur)]:
+                if g.level[ti] <= radius and rest.contains(_vertex_at(g, ti)):
                     break
             else:
                 break
-            arrows.append(a)
-            cur = src
+            a = g.window.arrow(k)
+            arrows.append(ArrowRef(a.label, a.index, a.target, a.source))
+            cur = a.target
         arrows.reverse()
         return Path(cur, tuple(arrows))
 
@@ -1287,9 +1240,7 @@ def _find_cycle(eng):
     arrows = []
     for f in fams:
         i = cur - f.source.shift
-        arrows.append(
-            ArrowRef(f.label, i, f.source.resolve(i), f.target.resolve(i))
-        )
+        arrows.append(_instance(f, i))
         cur = i + f.target.shift
     return Path(ray(r0, base), tuple(arrows))
 
@@ -1357,7 +1308,7 @@ def path_count(q, a, b):
 
 
 def is_interval_finite(q):
-    return engine_for(q).interval_finite_witness()
+    return engine_for(q).interval_finite_witness()[0]
 
 
 def has_right_infinite_path(q, vref):

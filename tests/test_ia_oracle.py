@@ -56,7 +56,7 @@ def test_random_draws_match_the_window_oracle():
     compared = 0
     for k in range(200):
         q = oracle.random_description(rng, f"rnd{k}")
-        if not regions.is_interval_finite(q)[0]:
+        if not regions.engine_for(q).interval_finite_witness()[0]:
             continue
         try:
             cat = classify(q)

@@ -320,6 +320,31 @@ def test_set_algebra_matches_tail_algebra_reference():
             assert got.display("int") == want.display("int"), (k, op, a, b)
 
 
+def test_finite_operands_read_only_their_points(monkeypatch):
+    # an operation that cannot hold off the points of its operands reads
+    # only those points, however far apart they lie
+    cases = (
+        (IndexSet.of([10**5]), "intersect", IndexSet.up_from(0),
+         IndexSet.of([10**5])),
+        (IndexSet.of([-10**5, 10**5]), "difference",
+         IndexSet.domain_set("int"), IndexSet.empty()),
+        (IndexSet.of([7]), "union", IndexSet.of([10**5]),
+         IndexSet.of([7, 10**5])),
+    )
+    calls = []
+    contains = IndexSet.contains
+
+    def counted(self, i):
+        calls.append(i)
+        return contains(self, i)
+
+    monkeypatch.setattr(IndexSet, "contains", counted)
+    for a, op, b, want in cases:
+        calls.clear()
+        assert getattr(a, op)(b) == want
+        assert len(calls) <= 4, (op, len(calls))
+
+
 def _band_pointwise(a, b, op):
     """The pointwise rule that reads every index between the outermost
     thresholds and points of both operands."""

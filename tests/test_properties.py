@@ -17,7 +17,7 @@ def usable_quiver(seed):
     q = oracle.random_description(random.Random(seed))
     if regions.oriented_cycle_witness(q) is not None:
         return None
-    ok, _, _ = regions.is_interval_finite(q)
+    ok, _, _ = regions.engine_for(q).interval_finite_witness()
     return q if ok else None
 
 

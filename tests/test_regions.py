@@ -98,9 +98,23 @@ def test_in_neighbors(ex4):
 
 def test_corpus_interval_finite(corpus):
     for q in corpus.values():
-        ok, pair, wit = regions.is_interval_finite(q)
+        ok, pair, wit = engine_for(q).interval_finite_witness()
         assert ok, q.name
 
+
+def test_is_interval_finite_is_a_bool(ex1):
+    assert regions.is_interval_finite(ex1) is True
+    assert regions.is_interval_finite(load_quiver("cycle")) is False
+    # the first acyclic random draw that fails through a pair of vertices
+    rng = random.Random(23)
+    while True:
+        q = oracle.random_description(rng)
+        if regions.oriented_cycle_witness(q) is None:
+            ok, pair, _ = engine_for(q).interval_finite_witness()
+            if not ok:
+                break
+    assert pair[0] != pair[1]
+    assert regions.is_interval_finite(q) is False
 
 def test_not_interval_finite_fan_through():
     q = parse(
@@ -108,7 +122,7 @@ def test_not_interval_finite_fan_through():
         "family f: s -> a[i] for i >= 0\n"
         "family g: a[i] -> t for i >= 0\n"
     )
-    ok, pair, wit = regions.is_interval_finite(q)
+    ok, pair, wit = engine_for(q).interval_finite_witness()
     assert not ok
     assert tuple(v.canonical_id() for v in pair) == ("v:s", "v:t")
     eng = engine_for(q)
@@ -899,8 +913,6 @@ def test_out_neighbors_of_a_far_vertex(ex5):
     for e in (eng, eng.op()):
         want = window_targets(e.q, far, 100000 + eng.nstar)
         assert want and set(e.out_neighbors(far).vertices(e.q)) == want
-    assert (regions.in_neighbors(ex5, far)
-            == engine_for(ex5.opposite()).out_neighbors(far))
 
 
 def _threshold_tails(eng, radius):
@@ -995,6 +1007,21 @@ def _reference_top_finite(eng, supp):
         return StageResult(False, detail="not generated from its sources",
                            witness=_reference_chain(eng, rest))
     return StageResult(True, detail=tuple(gens))
+
+
+def test_backward_chain_stays_in_its_window():
+    # b[0] has an in-arrow from every a[i]; the only one in ``rest`` lies
+    # past Window(base_radius) but inside the wider graph the opposite
+    # engine holds, so the chain from b[0] stops at once
+    q = parse("quiver sink\nray b domain nat\nray a domain nat\n"
+              "family g: a[i] -> b[0] for i >= 0\n")
+    eng = RegionEngine(q)
+    far = eng.base_radius + 10
+    eng.op().graph(far + 10)
+    rest = SupportDescription.build(
+        parts={"a": IndexSet.of([far]), "b": IndexSet.of([0])})
+    chain = eng._backward_chain(rest)
+    assert chain == Path(ray("b", 0), ()) == _reference_chain(eng, rest)
 
 
 @pytest.mark.parametrize("q", _engine_inputs(), ids=lambda q: q.name)

@@ -23,11 +23,13 @@ that the trees' command-line readers are compared too.  A mixed-stride
 description (strides 2 and 3 on two ``int`` rays, a family between them
 from index 250 and a core arrow to index -301) runs ``classify``,
 ``query pred r:b:400`` and ``query boundary (b,+,1)``, whose set algebra
-meets lcm periods and a pointwise band hundreds of indices wide.  Every
-distinct seed-1 and seed-2 ``reps`` build is written out with ``dump_rep``
-followed by its socle and radical dimensions, the basis labels of each
-support vertex, and the hom dimension and realize/extract round trip at the
-build's vertex.  Each tree runs
+meets lcm periods and a pointwise band hundreds of indices wide.
+``query out`` and ``query in`` at ``r:b:100000`` on ex5 ask for the
+one-step sets of a far vertex, and ``query out v:v0`` on ex3 for those of
+a fan source.  Every distinct seed-1 and seed-2 ``reps`` build is written
+out with ``dump_rep`` followed by its socle and radical dimensions and
+boundary flags, the basis labels of each support vertex, and the hom
+dimension and realize/extract round trip at the build's vertex.  Each tree runs
 in its own subprocess with ``PYTHONPATH=<tree>/src`` and the same
 ``PYTHONHASHSEED``, so that text which iterates a set of strings comes out
 in the same order on both sides and a difference means the trees differ.
@@ -146,6 +148,9 @@ SCALING = (
     ("mixed", "classify", MIXED),
     ("mixed", "query pred r:b:400", MIXED),
     ("mixed", "query boundary (b,+,1)", MIXED),
+    ("ex5", "query out r:b:100000", gen.FIXTURES["ex5"]),
+    ("ex5", "query in r:b:100000", gen.FIXTURES["ex5"]),
+    ("ex3", "query out v:v0", gen.FIXTURES["ex3"]),
 )
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
@@ -208,8 +213,13 @@ def collect(tree, spec_path, out_path):
         try:
             m, at = checks.build_rep(
                 fp, q, build, tuple(where) if where else None, n)
-            facts = {"socle": checks.ids(fp.socle(m).dims_dict()),
-                     "radical": checks.ids(fp.radical(m).dims_dict()),
+            soc, rad = fp.socle(m), fp.radical(m)
+            facts = {"socle": checks.ids(soc.dims_dict()),
+                     "radical": checks.ids(rad.dims_dict()),
+                     "socle boundary": sorted(
+                         v.canonical_id() for v in soc.boundary),
+                     "radical boundary": sorted(
+                         v.canonical_id() for v in rad.boundary),
                      "labels": {v.canonical_id(): m.labels(v)
                                 for v in m.support()},
                      "hom": hom_round_trip(fp, m, build, at)}
