@@ -116,6 +116,7 @@ def test_is_interval_finite_is_a_bool(ex1):
     assert pair[0] != pair[1]
     assert regions.is_interval_finite(q) is False
 
+
 def test_not_interval_finite_fan_through():
     q = parse(
         "quiver nif2\nvertex s\nvertex t\nray a domain nat\n"
