@@ -1,5 +1,7 @@
 """Representation windows: builders, structure maps, hom spaces, tails."""
 
+import random
+
 import pytest
 
 from conftest import load_gen, load_quiver
@@ -8,6 +10,7 @@ from fpquiver.linrep import (
     InfiniteDimensionAt,
     MorphismWindow,
     RepWindow,
+    TailBijectivity,
     apply_path,
     build_I,
     build_P,
@@ -324,3 +327,226 @@ def test_boundary_flags_follow_the_out_neighbour_rule(q, build, where, n):
     eng = engine_for(q)
     assert socle(m).boundary == _flag_rule(eng, m)
     assert radical(m).boundary == _flag_rule(eng.op(), m)
+
+
+# --- helpers called instead of their hand-rolled copies: references -------
+
+
+def _reference_as_rep(sub):
+    dims = sub.dims_dict()
+    maps = {}
+    for ar in sub.parent.window.arrows:
+        sb = sub.bases.get(ar.source, ())
+        tb = sub.bases.get(ar.target, ())
+        m = ratmat.zeros(len(tb), len(sb))
+        for col, u in enumerate(sb):
+            w = ratmat.mat_vec(sub.parent.matrix(ar), list(u))
+            coords = ratmat.coords_in_span([list(r) for r in tb], w)
+            assert coords is not None, ar
+            for row, c in enumerate(coords):
+                m[row][col] = c
+        maps[ar.canonical_id()] = m
+    return RepWindow(sub.parent.window, dims, maps)
+
+
+def _reference_quotient(m, sub):
+    comp = {}
+    for v in m.window.vertices:
+        d = m.dim(v)
+        if d == 0:
+            continue
+        rows = [list(r) for r in sub.bases.get(v, ())]
+        cv = ratmat.complement_basis(rows, d)
+        if cv:
+            comp[v] = (rows, cv)
+    dims = {v: len(cv) for v, (rows, cv) in comp.items()}
+    maps = {}
+    for ar in m.window.arrows:
+        src = comp.get(ar.source)
+        tgt = comp.get(ar.target)
+        mmat = ratmat.zeros(
+            len(tgt[1]) if tgt else 0, len(src[1]) if src else 0)
+        if src and tgt:
+            t_rows, t_comp = tgt
+            full = ratmat.transpose(t_rows + t_comp)
+            for col, u in enumerate(src[1]):
+                coords = ratmat.solve(full, ratmat.mat_vec(m.matrix(ar), u))
+                assert coords is not None, ar
+                for row in range(len(t_comp)):
+                    mmat[row][col] = coords[len(t_rows) + row]
+        maps[ar.canonical_id()] = mmat
+    return RepWindow(m.window, dims, maps)
+
+
+def _fixture_builds():
+    """P and I at the small vertices of each fixture, and Y of each of its
+    classes."""
+    out = []
+    for k in range(1, 6):
+        q = load_quiver(f"ex{k}")
+        for v in instantiate_window(q, 1).vertices:
+            for build in (build_P, build_I):
+                try:
+                    out.append(build(q, v, 3))
+                except InfiniteDimensionAt:
+                    pass
+        for cls in engine_for(q).tail_classes()[0]:
+            try:
+                out.append(build_Y(q, cls, 4))
+            except InfiniteDimensionAt:
+                pass
+    return out
+
+
+def test_induced_maps_match_the_loop_per_map():
+    checked = 0
+    for m in _fixture_builds():
+        support = m.support()
+        subs = [socle(m), radical(m)]
+        if support:
+            v = support[-1]
+            subs.append(subrep_generated(
+                m, {v: [[int(j == 0) for j in range(m.dim(v))]]}))
+        for sub in subs:
+            assert sub.as_rep() == _reference_as_rep(sub)
+            assert quotient(m, sub) == _reference_quotient(m, sub)
+            checked += 1
+    assert checked > 60
+
+
+def _reference_tail_bijectivity(i, cls):
+    """Eventual bijectivity with the forward orbit walked by hand."""
+    window = i.window
+    q = window.description
+    eng = engine_for(q)
+    cyc_len = len(cls.cycle)
+    cushion = eng.bound * (cyc_len + 2) + 4
+    arrow_ids = {ar.canonical_id() for ar in window.arrows}
+    configs = {0: cls.start}
+    k = 0
+    while abs(configs[k].index) <= window.radius + cushion:
+        configs[k + 1] = eng.orbit_step(cls, configs[k], k)[2]
+        k += 1
+    at = cls.start
+    k = 0
+    while True:
+        f = eng._families[cls.cycle[(k - 1) % cyc_len]]
+        i_fam = at.index - f.target.shift
+        if f.lower is not None and i_fam < f.lower:
+            break
+        prev = f.source.resolve(i_fam)
+        if not q.has_vertex(prev):
+            break
+        if abs(prev.index) > window.radius + cushion:
+            break
+        configs[k - 1] = prev
+        k -= 1
+        at = prev
+    runs, cur = [], []
+    for kk in sorted(configs):
+        if window.contains(configs[kk]):
+            cur.append(kk)
+        elif cur:
+            runs.append(cur)
+            cur = []
+    if cur:
+        runs.append(cur)
+    run = (runs[-1] if cls.direction == "+" else runs[0]) if runs else []
+    if not run or run[-1] - run[0] < 2:
+        raise PreconditionError(
+            f"window radius {window.radius} too small for class "
+            f"{cls.class_id()}; need radius >= "
+            f"{abs(cls.start.index) + 2 * cls.stride + 2}"
+        )
+    verts = [configs[kk] for kk in run]
+    dims = [i.dim(v) for v in verts]
+    bij = []
+    for pos, kk in enumerate(run[:-1]):
+        label, i_fam, _ = eng.orbit_step(cls, configs[kk], kk)
+        aid = f"{label}@{i_fam}"
+        assert aid in arrow_ids, aid
+        mat = i.matrix(aid)
+        square = dims[pos] == dims[pos + 1]
+        bij.append(square and ratmat.rank(list(mat)) == dims[pos])
+    if dims[-1] == 0:
+        if all(d == 0 for d in dims):
+            return TailBijectivity(
+                True, z_index=verts[0].index, note="zero on the window tail")
+        last_nz = max(p for p, d in enumerate(dims) if d)
+        z_in = 0
+        for pos in range(last_nz - 1, -1, -1):
+            if not bij[pos]:
+                z_in = pos + 1
+                break
+        return TailBijectivity(
+            False,
+            failure_index=verts[last_nz + 1].index,
+            within_support_z=verts[z_in].index,
+            note=(
+                "tail dimension falls to zero at "
+                f"{verts[last_nz + 1].canonical_id()}; maps are bijective "
+                "only within the support"
+            ),
+        )
+    z_pos = 0
+    for pos in range(len(bij) - 1, -1, -1):
+        if not bij[pos]:
+            z_pos = pos + 1
+            break
+    if z_pos == len(bij):
+        return TailBijectivity(
+            False,
+            failure_index=verts[-2].index,
+            note="maps are not bijective up to the window edge",
+        )
+    return TailBijectivity(True, z_index=verts[z_pos].index)
+
+
+def _bijectivity_outcome(fn, m, cls):
+    try:
+        return fn(m, cls)
+    except PreconditionError as exc:
+        return ("raises", str(exc))
+
+
+def _tail_inputs():
+    # (description, whether to build representations on it): the fixtures
+    # and a stride-3 description with a descending class get built limits;
+    # corpus fragments labelled interval finite and two ladders, whose
+    # limits are large dense grids, get zero representations only
+    gen = load_gen()
+    out = [(load_quiver(f"ex{k}"), True) for k in range(1, 6)]
+    out.append((parse(
+        "quiver s3\nray a domain int\nray b domain int\n"
+        "family down3: a[i+3] -> a[i] for all i\n"
+        "family up3: b[i] -> b[i+3] for all i\n"
+        "arrow x: b[1] -> a[1]\n"), True))
+    finite = [j for j, x in enumerate(gen.corpus_labels()) if x == "f"]
+    out += [(parse(gen.fragment(j)[0]), False) for j in finite[:30]]
+    for rays, shift, dom in ((2, 1, "int"), (3, 2, "int")):
+        out.append((parse(gen.ladder_text(random.Random(0), rays, shift, dom,
+                                          f"ladder{rays}s{shift}{dom}")[0]),
+                    False))
+    return [pytest.param(q, built, id=q.name) for q, built in out]
+
+
+@pytest.mark.parametrize("q, built", _tail_inputs())
+def test_tail_bijectivity_matches_the_orbit_walk(q, built):
+    # on zero representations of several radii, too small ones included,
+    # and on limits of the class itself and of a plain injective
+    eng = engine_for(q)
+    if eng.cycle_witness() is not None:
+        return
+    for cls in eng.tail_classes()[0]:
+        n0 = abs(cls.start.index)
+        reps = [zero_rep(instantiate_window(q, max(0, n0 + k)))
+                for k in (-8, 0, 2, 5, 11)]
+        for build in (lambda: build_Y(q, cls, n0 + 4),
+                      lambda: build_I(q, cls.start, n0 + 6)) * built:
+            try:
+                reps.append(build())
+            except InfiniteDimensionAt:
+                pass
+        for m in reps:
+            assert _bijectivity_outcome(eventual_tail_bijectivity, m, cls) == (
+                _bijectivity_outcome(_reference_tail_bijectivity, m, cls)), cls

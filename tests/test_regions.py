@@ -1034,3 +1034,334 @@ def test_top_finite_stage_matches_the_union_of_reaches(q):
         supp = eng.class_support(cls)
         want = _reference_top_finite(RegionEngine(q), supp)
         assert eng.top_finite_stage(supp) == want, cls
+
+
+# --- helpers called instead of their hand-rolled copies: references -------
+
+# a family from a ray into a fixed ray vertex and one into a core vertex
+INTO_FIXED = (
+    "quiver intofixed\nvertex c\nray a domain nat\nray b domain int\n"
+    "family down: a[i+1] -> a[i] for i >= 0\n"
+    "family g: a[i] -> b[3] for i >= 2\n"
+    "family up: b[i] -> b[i+1] for all i\n"
+    "family h: a[i] -> c for i >= 5\n"
+)
+
+# an unguarded fan from a core vertex into an int ray
+UNGUARDED_FAN = (
+    "quiver unguardedfan\nvertex c0\nray r domain int\nray d domain int\n"
+    "family fan: c0 -> r[i] for all i\n"
+    "family s: r[i] -> d[i+1] for all i\n"
+    "family t: d[i] -> d[i+1] for i >= 0\n"
+)
+
+
+def _reference_fit_tail(eng, name, data, top, floor, flagged, descending):
+    """The up tail fitted on the band below ``top``, its threshold walked
+    down to ``floor`` while the data follows the pattern."""
+    side, edge = ("below", "bottom") if descending else ("above", "top")
+    if not flagged:
+        if data and max(data) > top:
+            raise InternalConsistencyError(
+                f"reach on ray {name} touches the window {edge} without an "
+                "infinity certificate"
+            )
+        return None
+    lo_band = top - 2 * eng.bound - 4
+    period = None
+    for cand in range(1, eng.bound + 2):
+        if all((i in data) == ((i + cand) in data)
+               for i in range(lo_band, top - cand + 1)):
+            period = cand
+            break
+    if period is None:
+        raise InternalConsistencyError(
+            f"no period <= {eng.bound + 1} fits the reach band on "
+            f"ray {name}" + (" (descending)" if descending else "")
+        )
+    residues = frozenset(
+        i % period for i in range(lo_band, top + 1) if i in data)
+    if not residues:
+        raise InternalConsistencyError(
+            f"ray {name} flagged as unbounded {side} but the window "
+            "band is empty"
+        )
+    for i in data:
+        if i > top and i % period not in residues:
+            raise InternalConsistencyError(
+                f"reach element {name}[{-i if descending else i}] {side} "
+                "the fit zone does not match the fitted tail"
+            )
+    t = lo_band
+    while t - 1 >= floor and (
+            ((t - 1) in data) == (((t - 1) % period) in residues)):
+        t -= 1
+    return (t, period, residues)
+
+
+def _reference_fit_ray(eng, name, data, dom, radius, up_flag, down_flag):
+    top = radius - eng.setback
+    lo_dom = 0 if dom == "nat" else -radius
+    up = _reference_fit_tail(eng, name, data, top, lo_dom, up_flag, False)
+    if down_flag and dom == "nat":
+        raise InternalConsistencyError(
+            f"downward flag on nat-domain ray {name}")
+    floor = 1 - up[0] if up is not None else -top
+    down = _reference_fit_tail(
+        eng, name, {-i for i in data}, top, floor, down_flag, True)
+    if down is not None:
+        t, p, rs = down
+        down = (-t, p, frozenset(-r % p for r in rs))
+    mid = {i for i in data
+           if (up is None or i < up[0]) and (down is None or i > down[0])}
+    return IndexSet.make(up=up, down=down, mid=mid)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the message of its consistency error."""
+    try:
+        return fn(*args)
+    except InternalConsistencyError as exc:
+        return ("raises", str(exc))
+
+
+def _pattern(rng, b):
+    p = rng.randint(1, b + 1)
+    rs = frozenset(r for r in range(p) if rng.random() < 0.5) or {0}
+    return p, rs
+
+
+def _synthetic_fits(count):
+    """(engine, _fit_ray arguments) of seeded eventually periodic data:
+    periods up to bound + 1, thresholds anywhere in the window, a random
+    finite middle and, now and then, one stray point."""
+    rng = random.Random("fit-ray")
+    engines = [RegionEngine(load_quiver("ex4")), RegionEngine(parse(STRIDE3))]
+    out = []
+    for k in range(count):
+        eng = engines[k % len(engines)]
+        b = eng.bound
+        dom = rng.choice(("nat", "int"))
+        radius = eng.base_radius + rng.randrange(0, 3 * b)
+        lo_dom = 0 if dom == "nat" else -radius
+        flags = rng.choice(((True, False), (False, True), (True, True))
+                           if dom == "int" else ((True, False),))
+        # mostly thresholds that leave each fit band on its own pattern
+        band = radius - eng.setback - 2 * b - 4
+        lo = max(lo_dom, -band) if rng.random() < 0.8 else lo_dom
+        hi = band if lo > lo_dom or rng.random() < 0.8 else radius
+        t_up = rng.randrange(lo, hi + 1)
+        t_dn = rng.randrange(lo, t_up + 1)
+        data = set()
+        if flags[0]:
+            p, rs = _pattern(rng, b)
+            data |= {i for i in range(t_up, radius + 1) if i % p in rs}
+        if flags[1]:
+            p, rs = _pattern(rng, b)
+            data |= {i for i in range(-radius, t_dn + 1) if i % p in rs}
+        lo_mid = t_dn + 1 if flags[1] else lo_dom
+        if lo_mid <= t_up:
+            data |= {rng.randrange(lo_mid, t_up + 1)
+                     for _ in range(rng.randrange(0, 6))}
+        if rng.random() < 0.15:
+            data.add(rng.randrange(lo_dom, radius + 1))
+        out.append((eng, ("r", data, dom, radius) + flags))
+    return out
+
+
+def test_fit_ray_matches_the_threshold_walk_on_seeded_data():
+    fitted = 0
+    for eng, args in _synthetic_fits(400):
+        got = _outcome(eng._fit_ray, *args)
+        assert got == _outcome(_reference_fit_ray, eng, *args), args[2:]
+        fitted += isinstance(got, IndexSet)
+    assert fitted > 200
+
+
+def _fit_inputs():
+    gen = load_gen()
+    out = [load_quiver(f"ex{k}") for k in range(1, 6)]
+    out += [parse(t) for t in (STRIDE3, LADDER2, INTO_FIXED, UNGUARDED_FAN)]
+    for rays, shift, dom in ((2, 1, "int"), (3, 1, "nat"), (3, 2, "int")):
+        out.append(parse(gen.ladder_text(random.Random(0), rays, shift, dom,
+                                         f"ladder{rays}s{shift}{dom}")[0]))
+    return out
+
+
+@pytest.mark.parametrize("q", _fit_inputs(), ids=lambda q: q.name)
+def test_fit_ray_matches_the_threshold_walk_on_reach_data(q, monkeypatch):
+    calls = []
+    fit = RegionEngine._fit_ray
+
+    def spy(self, *args):
+        got = fit(self, *args)
+        calls.append((self, args, got))
+        return got
+
+    monkeypatch.setattr(RegionEngine, "_fit_ray", spy)
+    monkeypatch.setattr(regions, "_ENGINES", {})
+    classify(q)
+    eng = engine_for(q)
+    for e in (eng, eng.op()):
+        for v in instantiate_window(e.q, 2).vertices:
+            e.successors(v)
+    assert calls
+    for e, args, got in calls:
+        assert got == _reference_fit_ray(e, *args), args[0]
+
+
+def _reference_step_image(eng, supp):
+    """The one-step image with single arrows, templated sources and fans
+    in separate branches."""
+    q = eng.q
+    cores = set()
+    parts = {}
+
+    def add_set(name, iset):
+        iset = iset.intersect(IndexSet.domain_set(q.domain(name)))
+        if not iset.is_empty:
+            parts[name] = parts.get(name, IndexSet.empty()).union(iset)
+
+    for a in q.arrows:
+        if supp.contains(a.source.resolve()):
+            tgt = a.target.resolve()
+            if not q.has_vertex(tgt):
+                continue
+            if tgt.kind == "core":
+                cores.add(tgt.name)
+            else:
+                add_set(tgt.name, IndexSet.of([tgt.index]))
+    for f in q.families:
+        src, tgt = f.source, f.target
+        if src.is_var:
+            fired = supp.ray_part(src.name).shift(-src.shift)
+            if f.lower is not None:
+                fired = fired.intersect(IndexSet.up_from(f.lower))
+            if fired.is_empty:
+                continue
+            if tgt.is_var:
+                add_set(tgt.name, fired.shift(tgt.shift))
+            else:
+                t = tgt.resolve()
+                if t.kind == "core":
+                    cores.add(t.name)
+                else:
+                    add_set(t.name, IndexSet.of([t.index]))
+        elif supp.contains(src.resolve()):
+            if f.lower is None:
+                add_set(tgt.name, IndexSet.domain_set("int"))
+            else:
+                add_set(tgt.name, IndexSet.up_from(f.lower + tgt.shift))
+    return SupportDescription.build(cores, parts)
+
+
+def _seeded_supports(q, rng, count):
+    """Random supports: some core vertices and, per ray, nothing, a few
+    points, a strided tail either way or the whole ray."""
+    out = []
+    for _ in range(count):
+        cores = [c for c in q.core_vertices if rng.random() < 0.5]
+        parts = {}
+        for name, dom in q.rays:
+            kind = rng.randrange(5)
+            t, p = rng.randrange(-20, 21), rng.randint(1, 3)
+            iset = (IndexSet.empty(),
+                    IndexSet.of(rng.sample(range(-30, 31), 3)),
+                    IndexSet.up_from(t, p),
+                    IndexSet.down_from(t, p),
+                    IndexSet.domain_set(dom))[kind]
+            parts[name] = iset.intersect(IndexSet.domain_set(dom))
+        out.append(SupportDescription.build(cores, parts))
+    return out
+
+
+def _statement_inputs():
+    rng = random.Random("step-image")
+    out = [load_quiver(f"ex{k}") for k in range(1, 6)]
+    out += [parse(t) for t in (STRIDE3, INTO_FIXED, UNGUARDED_FAN)]
+    out += [oracle.random_description(rng, f"rnd{k}") for k in range(40)]
+    return out
+
+
+@pytest.mark.parametrize("q", _statement_inputs(), ids=lambda q: q.name)
+def test_step_image_matches_the_branch_per_statement_kind(q):
+    eng = RegionEngine(q)
+    supports = _seeded_supports(q, random.Random(q.name), 12)
+    supports += [SupportDescription.everything(q), SupportDescription.build()]
+    if eng.cycle_witness() is None:
+        supports += [eng.class_support(c) for c in eng.tail_classes()[0]]
+    for e in (eng, eng.op()):
+        for supp in supports:
+            assert e.step_image(supp) == _reference_step_image(e, supp), supp
+
+
+def test_hand_made_statements_fire():
+    # the two statement kinds no fixture has: a family into a fixed ray
+    # vertex, and an unguarded fan from a core vertex
+    eng = RegionEngine(parse(INTO_FIXED))
+    image = eng.step_image(SupportDescription.build(
+        parts={"a": IndexSet.up_from(4)}))
+    assert image.ray_part("b") == IndexSet.of([3])
+    assert image.cores == {"c"}
+    assert image.ray_part("a") == IndexSet.up_from(3)
+    eng = RegionEngine(parse(UNGUARDED_FAN))
+    image = eng.step_image(SupportDescription.build(["c0"]))
+    assert image.ray_part("r") == IndexSet.domain_set("int")
+
+
+def _orbit_inputs():
+    gen = load_gen()
+    out = _fit_inputs()
+    finite = [j for j, x in enumerate(gen.corpus_labels()) if x == "f"]
+    for j in sorted(random.Random("orbits").sample(finite, 40)):
+        out.append(parse(gen.fragment(j)[0]))
+    return out
+
+
+def _walked_tails(eng, cls):
+    """The class's progressions per ray over its first turn, walked with
+    ``orbit_step``."""
+    tails = {}
+    at = cls.start
+    for step in range(len(cls.cycle) + 1):
+        prog = (IndexSet.up_from(at.index, cls.stride)
+                if cls.direction == "+"
+                else IndexSet.down_from(at.index, cls.stride))
+        tails[at.name] = tails.get(at.name, IndexSet.empty()).union(prog)
+        if step < len(cls.cycle):
+            at = eng.orbit_step(cls, at, step)[2]
+    return tails
+
+
+def _walked_configs(eng, cls, bound):
+    """The forward orbit up to and including its first config past
+    ``bound``."""
+    configs = [cls.start]
+    while abs(configs[-1].index) <= bound:
+        configs.append(eng.orbit_step(cls, configs[-1], len(configs) - 1)[2])
+    return configs
+
+
+@pytest.mark.parametrize("q", _orbit_inputs(), ids=lambda q: q.name)
+def test_class_orbits_match_the_orbit_walk(q, monkeypatch):
+    eng = RegionEngine(q)
+    if eng.cycle_witness() is not None:
+        return
+    seeded = []
+    succ = RegionEngine._succ_support
+
+    def spy(self, seeds, radius, seed_tails=None):
+        if seed_tails is not None:
+            seeded.append((seeds, radius, seed_tails))
+        return succ(self, seeds, radius, seed_tails=seed_tails)
+
+    monkeypatch.setattr(RegionEngine, "_succ_support", spy)
+    for cls in eng.tail_classes()[0]:
+        seeded.clear()
+        eng.class_support(cls)
+        radius = eng.base_radius + abs(cls.start.index) + 2 * eng.bound
+        want = _walked_configs(eng, cls, radius)[:-1]
+        assert seeded == [(want, radius, _walked_tails(eng, cls))], cls
+        for r in (radius, radius + 3 * cls.stride + 1):
+            assert eng.class_tail_configs(cls, r) == (
+                _walked_configs(eng, cls, r)[:-1]), cls
