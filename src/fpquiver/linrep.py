@@ -373,24 +373,12 @@ class SubRepWindow:
         return {v: len(b) for v, b in self.bases.items() if b}
 
     def as_rep(self):
-        dims = self.dims_dict()
         maps = {}
         for ar in self.parent.window.arrows:
             sb = self.bases.get(ar.source, ())
             tb = self.bases.get(ar.target, ())
-            m = ratmat.zeros(len(tb), len(sb))
-            for col, u in enumerate(sb):
-                w = ratmat.mat_vec(self.parent.matrix(ar), list(u))
-                coords = ratmat.coords_in_span([list(r) for r in tb], w)
-                if coords is None:
-                    raise InternalConsistencyError(
-                        "subspace is not closed under "
-                        f"{ar.canonical_id()}"
-                    )
-                for row, c in enumerate(coords):
-                    m[row][col] = c
-            maps[ar.canonical_id()] = m
-        return RepWindow(self.parent.window, dims, maps)
+            maps[ar.canonical_id()] = _coordinates(self.parent, ar, sb, tb)
+        return RepWindow(self.parent.window, self.dims_dict(), maps)
 
     def inclusion(self):
         comps = {
@@ -506,24 +494,30 @@ def quotient(m, sub):
     maps = {}
     for ar in m.window.arrows:
         src = comp.get(ar.source)
-        tgt = comp.get(ar.target)
-        mmat = ratmat.zeros(
-            len(tgt[1]) if tgt else 0, len(src[1]) if src else 0
+        t_rows, t_comp = comp.get(ar.target, ([], []))
+        # the coordinates over the target's complement, of the images of
+        # the source's complement; zero unless both ends have one
+        vectors = src[1] if src and t_comp else ()
+        maps[ar.canonical_id()] = _coordinates(
+            m, ar, vectors, t_rows + t_comp, skip=len(t_rows)
         )
-        if src and tgt:
-            t_rows, t_comp = tgt
-            full = ratmat.transpose(t_rows + t_comp)
-            for col, u in enumerate(src[1]):
-                w = ratmat.mat_vec(m.matrix(ar), u)
-                coords = ratmat.solve(full, w)
-                if coords is None:
-                    raise InternalConsistencyError(
-                        "fiber basis does not span its own fiber"
-                    )
-                for row in range(len(t_comp)):
-                    mmat[row][col] = coords[len(t_rows) + row]
-        maps[ar.canonical_id()] = mmat
     return RepWindow(m.window, dims, maps)
+
+
+def _coordinates(m, ar, vectors, basis, skip=0):
+    """The matrix whose column j holds the coordinates of m(ar) vectors[j]
+    over the rows of ``basis`` after the first ``skip``; raises unless
+    each image lies in the span of ``basis``."""
+    cols = []
+    for u in vectors:
+        w = ratmat.mat_vec(m.matrix(ar), list(u))
+        coords = ratmat.coords_in_span([list(r) for r in basis], w)
+        if coords is None:
+            raise InternalConsistencyError(
+                f"subspace is not closed under {ar.canonical_id()}"
+            )
+        cols.append(coords)
+    return [[c[row] for c in cols] for row in range(skip, len(basis))]
 
 
 def direct_sum(m1, m2):
@@ -686,11 +680,8 @@ def eventual_tail_bijectivity(i, cls):
     cushion = eng.bound * (cyc_len + 2) + 4
     arrow_ids = {ar.canonical_id() for ar in window.arrows}
 
-    configs = {0: cls.start}
-    k = 0
-    while abs(configs[k].index) <= window.radius + cushion:
-        configs[k + 1] = eng.orbit_step(cls, configs[k], k)[2]
-        k += 1
+    forward = eng.class_tail_configs(cls, window.radius + cushion)
+    configs = dict(enumerate(forward))
     at = cls.start
     k = 0
     while True:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 DOMAIN_NAT = "nat"
 DOMAIN_INT = "int"
@@ -112,6 +113,8 @@ class SingleArrow:
     label: str
     source: Endpoint
     target: Endpoint
+
+    lower = None  # not a dataclass field: a single arrow has no guard
 
 
 @dataclass(frozen=True)
@@ -246,14 +249,10 @@ class QuiverDescription:
     def constants(self):
         """All constant indices appearing in the description."""
         out = []
-        for a in self.arrows:
-            for ep in (a.source, a.target):
-                if ep.kind == "ray-const":
-                    out.append(ep.shift)
-        for f in self.families:
-            if f.lower is not None:
-                out.append(f.lower)
-            for ep in (f.source, f.target):
+        for st in self.arrows + self.families:
+            if st.lower is not None:
+                out.append(st.lower)
+            for ep in (st.source, st.target):
                 if ep.kind == "ray-const":
                     out.append(ep.shift)
         return out
@@ -273,15 +272,14 @@ class QuiverDescription:
 
     def opposite(self):
         """Reverse every arrow; the vertex data is unchanged."""
-        return QuiverDescription(
-            name=self.name,
-            core_vertices=self.core_vertices,
-            rays=self.rays,
+        return replace(
+            self,
             arrows=tuple(
-                SingleArrow(a.label, a.target, a.source) for a in self.arrows
+                replace(a, source=a.target, target=a.source)
+                for a in self.arrows
             ),
             families=tuple(
-                ArrowFamily(f.label, f.target, f.source, f.lower)
+                replace(f, source=f.target, target=f.source)
                 for f in self.families
             ),
         )
@@ -315,59 +313,47 @@ class Window:
     description: QuiverDescription
     radius: int
 
-    @property
+    @cached_property
     def layout(self):
-        lay = getattr(self, "_layout_cache", None)
-        if lay is None:
-            q, radius = self.description, self.radius
-            cores = {name: k for k, name in enumerate(q.core_vertices)}
-            blocks = {}
-            size = len(cores)
-            for name, dom in q.rays:
-                lo = 0 if dom == DOMAIN_NAT else -radius
-                blocks[name] = (size, lo)
-                size += radius - lo + 1
-            statements = []
-            first = 0
-            for st in sorted(q.arrows + q.families, key=lambda st: st.label):
-                if isinstance(st, ArrowFamily):
-                    indices = st.index_range_in(q, radius)
-                elif q.vertex_in_window(
-                    st.source.resolve(), radius
-                ) and q.vertex_in_window(st.target.resolve(), radius):
-                    indices = (None,)
-                else:
-                    continue
-                if indices:
-                    statements.append((first, st, indices))
-                    first += len(indices)
-            lay = WindowLayout(size, cores, blocks, tuple(statements))
-            object.__setattr__(self, "_layout_cache", lay)
-        return lay
+        q, radius = self.description, self.radius
+        cores = {name: k for k, name in enumerate(q.core_vertices)}
+        blocks = {}
+        size = len(cores)
+        for name, dom in q.rays:
+            lo = 0 if dom == DOMAIN_NAT else -radius
+            blocks[name] = (size, lo)
+            size += radius - lo + 1
+        statements = []
+        first = 0
+        for st in sorted(q.arrows + q.families, key=lambda st: st.label):
+            if isinstance(st, ArrowFamily):
+                indices = st.index_range_in(q, radius)
+            elif q.vertex_in_window(
+                st.source.resolve(), radius
+            ) and q.vertex_in_window(st.target.resolve(), radius):
+                indices = (None,)
+            else:
+                continue
+            if indices:
+                statements.append((first, st, indices))
+                first += len(indices)
+        return WindowLayout(size, cores, blocks, tuple(statements))
 
-    @property
+    @cached_property
     def vertices(self):
-        verts = getattr(self, "_vertex_tuple", None)
-        if verts is None:
-            lay = self.layout
-            verts = [core(name) for name in lay.cores]
-            for name, (_, lo) in lay.blocks.items():
-                verts.extend(ray(name, i) for i in range(lo, self.radius + 1))
-            verts = tuple(verts)
-            object.__setattr__(self, "_vertex_tuple", verts)
-        return verts
+        lay = self.layout
+        verts = [core(name) for name in lay.cores]
+        for name, (_, lo) in lay.blocks.items():
+            verts.extend(ray(name, i) for i in range(lo, self.radius + 1))
+        return tuple(verts)
 
-    @property
+    @cached_property
     def arrows(self):
-        arrows = getattr(self, "_arrow_tuple", None)
-        if arrows is None:
-            arrows = tuple(
-                _instance(st, i)
-                for _, st, indices in self.layout.statements
-                for i in indices
-            )
-            object.__setattr__(self, "_arrow_tuple", arrows)
-        return arrows
+        return tuple(
+            _instance(st, i)
+            for _, st, indices in self.layout.statements
+            for i in indices
+        )
 
     def arrow(self, k):
         """Arrow number ``k``, built without the other arrows."""
@@ -397,33 +383,30 @@ class Window:
         return k
 
     def arrows_from(self, vref):
-        return self._adj()[0].get(vref, ())
+        return self._adj[0].get(vref, ())
 
     def arrows_into(self, vref):
-        return self._adj()[1].get(vref, ())
+        return self._adj[1].get(vref, ())
 
+    @cached_property
     def _adj(self):
-        adj = getattr(self, "_adj_cache", None)
-        if adj is None:
-            out, inc = {}, {}
-            for a in self.arrows:
-                out.setdefault(a.source, []).append(a)
-                inc.setdefault(a.target, []).append(a)
-            adj = (
-                {k: tuple(v) for k, v in out.items()},
-                {k: tuple(v) for k, v in inc.items()},
-            )
-            object.__setattr__(self, "_adj_cache", adj)
-        return adj
+        out, inc = {}, {}
+        for a in self.arrows:
+            out.setdefault(a.source, []).append(a)
+            inc.setdefault(a.target, []).append(a)
+        return (
+            {k: tuple(v) for k, v in out.items()},
+            {k: tuple(v) for k, v in inc.items()},
+        )
+
+    @cached_property
+    def _by_id(self):
+        return {a.canonical_id(): a for a in self.arrows}
 
     def arrow_by_id(self, aid):
         """The arrow with canonical id ``aid``; KeyError if the window has
         none.  The id map is built on the first call."""
-        by_id = getattr(self, "_id_cache", None)
-        if by_id is None:
-            by_id = {a.canonical_id(): a for a in self.arrows}
-            object.__setattr__(self, "_id_cache", by_id)
-        return by_id[aid]
+        return self._by_id[aid]
 
     def contains(self, vref):
         return self._position(vref) is not None

@@ -381,18 +381,15 @@ class RegionEngine:
 
     def _fit_ray(self, name, data, dom, radius, up_flag, down_flag):
         top = radius - self.setback
-        lo_dom = 0 if dom == DOMAIN_NAT else -radius
-        up = self._fit_tail(name, data, top, lo_dom, up_flag, descending=False)
+        up = self._fit_tail(name, data, top, up_flag, descending=False)
         if down_flag and dom == DOMAIN_NAT:
             raise InternalConsistencyError(
                 f"downward flag on nat-domain ray {name}"
             )
-        # the down tail is the up tail of the mirror image {-i : i in data},
-        # grown no further than just below the up tail
-        floor = 1 - up[0] if up is not None else -top
+        # the down tail is the up tail of the mirror image {-i : i in data}
         down = _flip(
             self._fit_tail(
-                name, {-i for i in data}, top, floor, down_flag, descending=True
+                name, {-i for i in data}, top, down_flag, descending=True
             )
         )
         mid = {
@@ -402,11 +399,17 @@ class RegionEngine:
         }
         return IndexSet.make(up=up, down=down, mid=mid)
 
-    def _fit_tail(self, name, data, top, floor, flagged, descending):
-        """The up tail (t, p, R) of ``data``, fitted on the band below
-        ``top`` and grown down to ``floor``; None when the ray is not
-        ``flagged`` unbounded.  A ``descending`` call gets mirrored data and
-        only words its messages for the original direction."""
+    def _fit_tail(self, name, data, top, flagged, descending):
+        """The up tail (t, p, R) of ``data`` fitted on the band [t, top],
+        t = top - 2 * bound - 4; None when the ray is not ``flagged``
+        unbounded.  A ``descending`` call gets mirrored data and only words
+        its messages for the original direction.
+
+        ``IndexSet.make`` walks t down over the data below it.  The walk
+        crosses the band of the opposite tail only where both patterns agree
+        on its 2b + 5 points, and two patterns of periods <= b + 1 that agree
+        on 2b + 1 consecutive points are one (Fine-Wilf), so it needs no
+        floor."""
         side, edge = ("below", "bottom") if descending else ("above", "top")
         if not flagged:
             if data and max(data) > top:
@@ -443,12 +446,7 @@ class RegionEngine:
                     f"reach element {name}[{-i if descending else i}] {side} "
                     "the fit zone does not match the fitted tail"
                 )
-        t = lo_band
-        while t - 1 >= floor and (
-            ((t - 1) in data) == (((t - 1) % period) in residues)
-        ):
-            t -= 1
-        return (t, period, residues)
+        return (lo_band, period, residues)
 
     # --- public reach queries -------------------------------------------------
 
@@ -552,23 +550,18 @@ class RegionEngine:
     def _infinity_sources(self):
         """Candidate configs whose successor set may be infinite: fan
         sources plus a stride-representative band of pump configs."""
+        upset = self.upset(self.base_radius)
+        lo, hi = self.guard_zone, self.guard_zone + 2 * self.bound
         out = list(self.fan_sources)
-        radius = self.base_radius
-        upset = self.upset(radius)
-        gz = self.guard_zone
-        for name in self.q.ray_names():
-            for i in range(gz, gz + 2 * self.bound + 1):
-                if ray(name, i) in upset:
-                    out.append(ray(name, i))
-            if self.q.domain(name) == DOMAIN_INT:
-                for i in range(-gz - 2 * self.bound, -gz + 1):
-                    if ray(name, i) in upset:
-                        out.append(ray(name, i))
+        band = {}
+        for name, dom in self.q.rays:
+            band[name] = [ray(name, i) for i in range(lo, hi + 1)]
+            if dom == DOMAIN_INT:
+                band[name] += [ray(name, i) for i in range(-hi, -lo + 1)]
+            out += [v for v in band[name] if v in upset]
+        # descent rays are int rays: unguarded families never touch a nat ray
         for name in sorted(self.descent_rays):
-            for i in range(gz, gz + 2 * self.bound + 1):
-                out.append(ray(name, i))
-            for i in range(-gz - 2 * self.bound, -gz + 1):
-                out.append(ray(name, i))
+            out += band[name]
         return list(dict.fromkeys(out))
 
     def interval_finite_witness(self):
@@ -782,63 +775,50 @@ class RegionEngine:
         path into the tail."""
         radius = self.base_radius + abs(cls.start.index) + 2 * self.bound
         seeds = self.class_tail_configs(cls, radius)
-        # per ray, the tail indices form stride-spaced progressions
+        # per ray, the tail indices form stride-spaced progressions from the
+        # configs of the first turn, which climbs less than 2 * bound
         tails = {}
-        at = cls.start
-        for step in range(len(cls.cycle) + 1):
-            prog = (
-                IndexSet.up_from(at.index, cls.stride)
-                if cls.direction == "+"
-                else IndexSet.down_from(at.index, cls.stride)
-            )
+        prog = IndexSet.up_from if cls.direction == "+" else IndexSet.down_from
+        for at in seeds[: len(cls.cycle) + 1]:
             prev = tails.get(at.name, IndexSet.empty())
-            tails[at.name] = prev.union(prog)
-            if step < len(cls.cycle):
-                at = self.orbit_step(cls, at, step)[2]
+            tails[at.name] = prev.union(prog(at.index, cls.stride))
         return self.op()._succ_support(seeds, radius, seed_tails=tails)
 
     # --- classification stages ------------------------------------------------------------
 
     def step_image(self, supp):
-        """One-step targets of arrows whose source lies in ``supp``."""
+        """One-step targets of arrows whose source lies in ``supp``.
+
+        Each statement fires family indices: a templated source the support
+        on its ray, shifted back and cut to the guard; a fixed source in
+        ``supp`` every index from the guard.  The target gets them, shifted
+        onto its ray when templated, or else is the one vertex."""
         cores = set()
         parts = {}
-
-        def add_set(name, iset):
-            iset = iset.intersect(IndexSet.domain_set(self.q.domain(name)))
-            if not iset.is_empty:
-                parts[name] = parts.get(name, IndexSet.empty()).union(iset)
-
-        for a in self.q.arrows:
-            if supp.contains(a.source.resolve()):
-                tgt = a.target.resolve()
-                if not self.q.has_vertex(tgt):
-                    continue
-                if tgt.kind == "core":
-                    cores.add(tgt.name)
-                else:
-                    add_set(tgt.name, IndexSet.of([tgt.index]))
-        for f in self.q.families:
-            src, tgt = f.source, f.target
+        for st in self.q.arrows + self.q.families:
+            src, tgt = st.source, st.target
             if src.is_var:
-                fired = supp.ray_part(src.name).shift(-src.shift)
-                if f.lower is not None:
-                    fired = fired.intersect(IndexSet.up_from(f.lower))
+                fired = supp.ray_part(src.name)
                 if fired.is_empty:
                     continue
-                if tgt.is_var:
-                    add_set(tgt.name, fired.shift(tgt.shift))
-                else:
-                    t = tgt.resolve()
-                    if t.kind == "core":
-                        cores.add(t.name)
-                    else:
-                        add_set(t.name, IndexSet.of([t.index]))
-            elif supp.contains(src.resolve()):
-                if f.lower is None:
-                    add_set(tgt.name, IndexSet.domain_set(DOMAIN_INT))
-                else:
-                    add_set(tgt.name, IndexSet.up_from(f.lower + tgt.shift))
+                fired = fired.shift(-src.shift)
+                if st.lower is not None:
+                    fired = fired.intersect(IndexSet.up_from(st.lower))
+            elif not supp.contains(src.resolve()):
+                continue
+            elif st.lower is None:
+                fired = IndexSet.domain_set(DOMAIN_INT)
+            else:
+                fired = IndexSet.up_from(st.lower)
+            if fired.is_empty:
+                continue
+            if tgt.kind == "core":
+                cores.add(tgt.name)
+                continue
+            image = fired.shift(tgt.shift) if tgt.is_var else IndexSet.of([tgt.shift])
+            parts[tgt.name] = parts.get(tgt.name, IndexSet.empty()).union(image)
+        for name, iset in parts.items():
+            parts[name] = iset.intersect(IndexSet.domain_set(self.q.domain(name)))
         return SupportDescription.build(cores, parts)
 
     def top_finite_stage(self, supp):

@@ -168,7 +168,7 @@ def _kahn(out_adj):
 
 
 def _tuples_built(w):
-    return {"_vertex_tuple", "_arrow_tuple"} & set(vars(w))
+    return {"vertices", "arrows"} & set(vars(w))
 
 
 FAR145 = (
@@ -207,4 +207,4 @@ def test_validate_builds_no_window_tuples(tmp_path, capsys, text, code,
         w = e._graph.window
         assert not _tuples_built(w), e.q.name
         assert w.vertices and w.arrows
-        assert _tuples_built(w) == {"_vertex_tuple", "_arrow_tuple"}
+        assert _tuples_built(w) == {"vertices", "arrows"}

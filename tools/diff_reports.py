@@ -26,7 +26,11 @@ from index 250 and a core arrow to index -301) runs ``classify``,
 meets lcm periods and a pointwise band hundreds of indices wide.
 ``query out`` and ``query in`` at ``r:b:100000`` on ex5 ask for the
 one-step sets of a far vertex, and ``query out v:v0`` on ex3 for those of
-a fan source.  Every distinct seed-1 and seed-2 ``reps`` build is written
+a fan source.  Two descriptions hold the statement kinds no fixture has:
+a family from a ray into a fixed ray vertex, and an unguarded fan from a
+core vertex; each runs ``classify``, ``query out`` at a vertex that fires
+it and ``query boundary`` of a class whose support holds its source.
+Every distinct seed-1 and seed-2 ``reps`` build is written
 out with ``dump_rep`` followed by its socle and radical dimensions and
 boundary flags, the basis labels of each support vertex, and the hom
 dimension and realize/extract round trip at the build's vertex.  Each tree runs
@@ -111,6 +115,24 @@ MIXED = (
 )
 
 
+# the statement kinds no fixture has: a family from a ray into a fixed ray
+# vertex (and one into a core vertex), and an unguarded fan from a core
+# vertex (tests/test_regions.py)
+INTO_FIXED = (
+    "quiver intofixed\nvertex c\nray a domain nat\nray b domain int\n"
+    "family down: a[i+1] -> a[i] for i >= 0\n"
+    "family g: a[i] -> b[3] for i >= 2\n"
+    "family up: b[i] -> b[i+1] for all i\n"
+    "family h: a[i] -> c for i >= 5\n"
+)
+UNGUARDED_FAN = (
+    "quiver unguardedfan\nvertex c0\nray r domain int\nray d domain int\n"
+    "family fan: c0 -> r[i] for all i\n"
+    "family s: r[i] -> d[i+1] for all i\n"
+    "family t: d[i] -> d[i+1] for i >= 0\n"
+)
+
+
 def dense_text(rays, name):
     """``rays`` int rays with a family from each ray to every other, one
     index up."""
@@ -151,6 +173,12 @@ SCALING = (
     ("ex5", "query out r:b:100000", gen.FIXTURES["ex5"]),
     ("ex5", "query in r:b:100000", gen.FIXTURES["ex5"]),
     ("ex3", "query out v:v0", gen.FIXTURES["ex3"]),
+    ("intofixed", "classify", INTO_FIXED),
+    ("intofixed", "query out r:a:7", INTO_FIXED),
+    ("intofixed", "query boundary (b,+)", INTO_FIXED),
+    ("unguardedfan", "classify", UNGUARDED_FAN),
+    ("unguardedfan", "query out v:c0", UNGUARDED_FAN),
+    ("unguardedfan", "query boundary (d,+)", UNGUARDED_FAN),
 )
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
