@@ -135,16 +135,11 @@ def _canonicalize(up, down, mid):
     new_down = None
     if down is not None:
         _, p, rs = down
-        mismatch = None
-        for i in range(lo_scan, hi_scan + 1):
-            if member(i) != (i % p in rs):
-                mismatch = i
-                break
-        if mismatch is None:
-            # exactly the down pattern everywhere (up is None here: the
-            # two-sided exact case returned early above)
-            t_star = _pattern_elem_at_most(p, rs, 0)
-            return None, (t_star, p, rs), frozenset()
+        # there is a mismatch: with an up tail an exact match returned above,
+        # and without one the set is empty on (max(pts), hi_scan], whose
+        # 2 * big + 2 points hold an element of the nonempty pattern
+        mismatch = next(i for i in range(lo_scan, hi_scan + 1)
+                        if member(i) != (i % p in rs))
         t_dn = _pattern_elem_at_most(p, rs, mismatch - 1)
         if new_up is not None and t_dn >= new_up[0]:
             t_dn = _pattern_elem_at_most(p, rs, new_up[0] - 1)
@@ -212,27 +207,6 @@ class IndexSet:
 
     def size(self):
         return len(self.mid) if self.is_finite else None
-
-    def min_element(self):
-        """Smallest element; None when unbounded below; error on empty."""
-        if self.is_empty:
-            raise ValueError("empty index set")
-        if self.down is not None:
-            return None
-        candidates = list(self.mid)
-        if self.up is not None:
-            candidates.append(self.up[0])
-        return min(candidates)
-
-    def max_element(self):
-        if self.is_empty:
-            raise ValueError("empty index set")
-        if self.up is not None:
-            return None
-        candidates = list(self.mid)
-        if self.down is not None:
-            candidates.append(self.down[0])
-        return max(candidates)
 
     def elements(self):
         if not self.is_finite:
@@ -514,19 +488,6 @@ class SupportDescription:
             lo = 0 if q.domain(name) == "nat" else -radius
             out.update(ray(name, i) for i in iset.elements_in(lo, radius))
         return out
-
-    def display_lines(self, q):
-        lines = []
-        for name in q.core_vertices:
-            if name in self.cores:
-                lines.append(f"core {name}")
-        for name, dom in q.rays:
-            iset = self.ray_part(name)
-            if not iset.is_empty:
-                lines.append(f"ray {name}: {iset.display(IndexSet.domain_set(dom))}")
-        if not lines:
-            lines.append("(empty)")
-        return lines
 
     def summary(self, q):
         """One-line description, e.g. for query reports."""

@@ -181,10 +181,6 @@ def coords_in_span(vectors, v):
     return solve(transpose(mat(vectors)), v)
 
 
-def sum_spaces(u, v):
-    return span_basis(list(u) + list(v))
-
-
 def intersect_spaces(u, v):
     """Zassenhaus: rref of [[U U],[V 0]]; zero-left rows carry the meet."""
     if not u or not v:

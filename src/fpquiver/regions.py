@@ -145,19 +145,19 @@ _Graph = namedtuple(
 # the engine
 
 
-# each engine keeps one window graph, so capping the engines bounds memory at
-# that many graphs; an evicted description is rebuilt on demand
-_MAX_ENGINES = 32
 _ENGINES = {}
 
 
 def engine_for(q):
+    """The engine of ``q``, kept until another description is looked up.
+
+    Only the current description's engine is kept, with the opposite engine
+    it owns, so memory holds one description's window graphs and caches.  A
+    caller that switches between descriptions rebuilds their engines."""
     eng = _ENGINES.get(q)
     if eng is None:
-        if len(_ENGINES) >= _MAX_ENGINES:
-            del _ENGINES[next(iter(_ENGINES))]
-        eng = RegionEngine(q)
-        _ENGINES[q] = eng
+        _ENGINES.clear()
+        eng = _ENGINES[q] = RegionEngine(q)
     return eng
 
 
@@ -230,7 +230,8 @@ class RegionEngine:
 
     def op(self):
         if self._op_engine is None:
-            self._op_engine = engine_for(self.q.opposite())
+            self._op_engine = RegionEngine(self.q.opposite())
+            self._op_engine._op_engine = self
         return self._op_engine
 
     def graph(self, radius):

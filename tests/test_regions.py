@@ -1,6 +1,9 @@
 """Symbolic region queries: cycles, counts, neighborhoods, tail classes."""
 
+import os
+import pathlib
 import random
+import subprocess
 import sys
 from collections import deque
 
@@ -271,11 +274,56 @@ def test_window_cycle_search_needs_no_recursion(monkeypatch):
 
 
 def test_engine_cache_is_bounded():
-    for k in range(regions._MAX_ENGINES + 5):
-        engine_for(parse(f"quiver bounded{k}\nvertex v\n"))
-        assert len(regions._ENGINES) <= regions._MAX_ENGINES
+    for k in range(37):
+        q = parse(f"quiver bounded{k}\nvertex v\n")
+        engine_for(q)
+        assert len(regions._ENGINES) == 1
+    assert list(regions._ENGINES) == [q]
     regions._ENGINES.clear()
     assert not regions._ENGINES
+
+
+def test_opposite_engine_is_owned(ex3, ex5):
+    eng = engine_for(ex5)
+    assert eng.op().op() is eng
+    assert list(regions._ENGINES) == [ex5]
+    assert ex5.opposite() not in regions._ENGINES
+    v = ray("b", 3)
+    assert eng.successors(v) is eng.successors(v)
+    catalog = classify(ex5)
+    engine_for(ex3)
+    fresh = engine_for(ex5)
+    assert fresh is not eng and fresh._graph is None
+    assert classify(ex5) == catalog
+
+
+# classifies eight descriptions whose windows are about 3,000 indices wide,
+# one after another in one process, and prints the growth of its peak RSS in
+# KB from the first to the last; the address-space limit turns a leak into a
+# MemoryError instead of a swamped machine
+FAR_SEQUENCE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from fpquiver import classify, parse
+peaks = []
+for k in range(8):
+    classify(parse(
+        f"quiver far{k}\\nray a domain nat\\nray b domain nat\\n"
+        "family fa: a[i] -> a[i+1] for i >= 0\\n"
+        "family fb: b[i] -> b[i+1] for i >= 0\\n"
+        f"arrow g: a[{3000 + k}] -> b[0]\\n"))
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(peaks[-1] - peaks[0])
+"""
+
+
+def test_switching_descriptions_keeps_memory_flat():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", FAR_SEQUENCE],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 20 * 1024
 
 
 # two int rays with stride-3 families pointing opposite ways, so successor

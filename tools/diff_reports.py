@@ -30,10 +30,14 @@ a fan source.  Two descriptions hold the statement kinds no fixture has:
 a family from a ray into a fixed ray vertex, and an unguarded fan from a
 core vertex; each runs ``classify``, ``query out`` at a vertex that fires
 it and ``query boundary`` of a class whose support holds its source.
-Every distinct seed-1 and seed-2 ``reps`` build is written
-out with ``dump_rep`` followed by its socle and radical dimensions and
-boundary flags, the basis labels of each support vertex, and the hom
-dimension and realize/extract round trip at the build's vertex.  Each tree runs
+One request runs ``classify`` on the five fixtures in order and then in
+reverse, without clearing the engine cache, so that the trees' answers are
+compared while the current description switches.  Every distinct seed-1 and
+seed-2 ``reps`` build is written out with ``dump_rep``, followed by the
+``dump_rep`` of its quotients by its socle and by its radical, its socle and
+radical dimensions and boundary flags, the basis labels of each support
+vertex, and the hom dimension and realize/extract round trip at the build's
+vertex.  Each tree runs
 in its own subprocess with ``PYTHONPATH=<tree>/src`` and the same
 ``PYTHONHASHSEED``, so that text which iterates a set of strings comes out
 in the same order on both sides and a difference means the trees differ.
@@ -180,6 +184,9 @@ SCALING = (
     ("unguardedfan", "query out v:c0", UNGUARDED_FAN),
     ("unguardedfan", "query boundary (d,+)", UNGUARDED_FAN),
 )
+# fixtures classified in one process, forward and back
+SWITCHING = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex5", "ex4", "ex3", "ex2",
+             "ex1")
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
 
@@ -205,7 +212,12 @@ def requests(folder):
         tail = command.split()
         catalog.append((" ".join(["scaling", tail[0], name] + tail[1:]),
                         [tail[0], str(path)] + tail[1:]))
-    return {"catalog": catalog, "reps": reps}
+    switching = []
+    for name in SWITCHING:
+        path = pathlib.Path(folder) / f"switching-{name}.quiver"
+        path.write_text(gen.FIXTURES[name], encoding="utf-8")
+        switching.append(["classify", str(path)])
+    return {"catalog": catalog, "reps": reps, "switching": switching}
 
 
 def hom_round_trip(fp, m, build, at):
@@ -235,6 +247,12 @@ def collect(tree, spec_path, out_path):
         with contextlib.redirect_stdout(buf):
             code = fp.cli.main(argv)
         out[label] = [code, buf.getvalue()]
+    regions._ENGINES.clear()
+    codes, buf = [], io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        for argv in spec["switching"]:
+            codes.append(fp.cli.main(argv))
+    out["switching classify " + " ".join(SWITCHING)] = [codes, buf.getvalue()]
     for label, text, build, where, n in spec["reps"]:
         regions._ENGINES.clear()
         q = fp.parse(text)
@@ -251,8 +269,12 @@ def collect(tree, spec_path, out_path):
                      "labels": {v.canonical_id(): m.labels(v)
                                 for v in m.support()},
                      "hom": hom_round_trip(fp, m, build, at)}
-            out[label] = [0, fp.dump_rep(m) + json.dumps(facts, indent=0,
-                                                         sort_keys=True)]
+            dumps = [fp.dump_rep(m)]
+            for name, sub in (("socle", soc), ("radical", rad)):
+                dumps += [f"quotient by the {name}\n",
+                          fp.dump_rep(fp.quotient(m, sub))]
+            dumps.append(json.dumps(facts, indent=0, sort_keys=True))
+            out[label] = [0, "".join(dumps)]
         except Exception as exc:  # a failed build is an output to compare
             out[label] = [1, f"{type(exc).__name__}: {exc}"]
     pathlib.Path(out_path).write_text(json.dumps(out), encoding="utf-8")
