@@ -156,6 +156,10 @@ def engine_for(q):
     caller that switches between descriptions rebuilds their engines."""
     eng = _ENGINES.get(q)
     if eng is None:
+        for old in _ENGINES.values():
+            # an engine and its opposite point at each other: break the pair
+            # so that reference counting frees both now, not the collector
+            old._op_engine = None
         _ENGINES.clear()
         eng = _ENGINES[q] = RegionEngine(q)
     return eng
@@ -229,6 +233,8 @@ class RegionEngine:
     # --- basic structure ---------------------------------------------------
 
     def op(self):
+        """The opposite description's engine, owned by this one, so that
+        ``op().op() is self`` and it is freed with this engine."""
         if self._op_engine is None:
             self._op_engine = RegionEngine(self.q.opposite())
             self._op_engine._op_engine = self

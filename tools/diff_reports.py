@@ -37,10 +37,10 @@ seed-2 ``reps`` build is written out with ``dump_rep``, followed by the
 ``dump_rep`` of its quotients by its socle and by its radical, its socle and
 radical dimensions and boundary flags, the basis labels of each support
 vertex, and the hom dimension and realize/extract round trip at the build's
-vertex.  Each tree runs
-in its own subprocess with ``PYTHONPATH=<tree>/src`` and the same
-``PYTHONHASHSEED``, so that text which iterates a set of strings comes out
-in the same order on both sides and a difference means the trees differ.
+vertex.  Each tree runs in its own subprocess with ``PYTHONPATH=<tree>/src``
+and the same ``PYTHONHASHSEED``, so that text which iterates a set of
+strings comes out in the same order on both sides and a difference means the
+trees differ.
 The inputs come from this tree's ``perfbench/gen.py`` and
 ``checks.build_rep``, imported without writing bytecode, so both trees see
 the same requests.
@@ -184,9 +184,7 @@ SCALING = (
     ("unguardedfan", "query out v:c0", UNGUARDED_FAN),
     ("unguardedfan", "query boundary (d,+)", UNGUARDED_FAN),
 )
-# fixtures classified in one process, forward and back
-SWITCHING = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex5", "ex4", "ex3", "ex2",
-             "ex1")
+SWITCHING = "switching classify ex1..ex5 ex5..ex1"  # its request's label
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
 
@@ -213,10 +211,11 @@ def requests(folder):
         catalog.append((" ".join(["scaling", tail[0], name] + tail[1:]),
                         [tail[0], str(path)] + tail[1:]))
     switching = []
-    for name in SWITCHING:
+    for name, text in gen.FIXTURES.items():
         path = pathlib.Path(folder) / f"switching-{name}.quiver"
-        path.write_text(gen.FIXTURES[name], encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         switching.append(["classify", str(path)])
+    switching += switching[::-1]
     return {"catalog": catalog, "reps": reps, "switching": switching}
 
 
@@ -247,12 +246,11 @@ def collect(tree, spec_path, out_path):
         with contextlib.redirect_stdout(buf):
             code = fp.cli.main(argv)
         out[label] = [code, buf.getvalue()]
-    regions._ENGINES.clear()
     codes, buf = [], io.StringIO()
     with contextlib.redirect_stdout(buf):
         for argv in spec["switching"]:
             codes.append(fp.cli.main(argv))
-    out["switching classify " + " ".join(SWITCHING)] = [codes, buf.getvalue()]
+    out[SWITCHING] = [codes, buf.getvalue()]
     for label, text, build, where, n in spec["reps"]:
         regions._ENGINES.clear()
         q = fp.parse(text)
