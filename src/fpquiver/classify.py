@@ -144,13 +144,6 @@ def yp_fp(q, c):
     )
 
 
-def _ray_no_set(q):
-    """Vertices failing the vertex-injective criterion, as one symbolic set:
-    infinitely many predecessors, or some predecessor with a fan out of it."""
-    eng = regions.engine_for(q)
-    return eng.infinite_pred_set().union(eng.fan_successor_set())
-
-
 def _pointwise_ia(eng):
     """The vertex criterion at every ray point, from one pass: a function
     ``(ray name, index) -> bool``, True where the injective is finitely
@@ -205,7 +198,7 @@ def classify(q):
     eng = regions.engine_for(q)
     eng.ensure_interval_finite()
     ia_core = tuple((name, ia_fp(q, core(name))) for name in q.core_vertices)
-    no_supp = _ray_no_set(q)
+    no_supp = eng.ia_no_set()
     # without rays there is no point to check, and no window to build
     pointwise = _pointwise_ia(eng) if q.rays else None
     ia_rays = []

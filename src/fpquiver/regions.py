@@ -153,13 +153,11 @@ def engine_for(q):
 
     Only the current description's engine is kept, with the opposite engine
     it owns, so memory holds one description's window graphs and caches.  A
-    caller that switches between descriptions rebuilds their engines."""
+    caller that switches between descriptions rebuilds their engines.  The
+    opposite engine does not point back, so dropping the registered engine
+    (here, or by ``_ENGINES.clear()``) frees both at once."""
     eng = _ENGINES.get(q)
     if eng is None:
-        for old in _ENGINES.values():
-            # an engine and its opposite point at each other: break the pair
-            # so that reference counting frees both now, not the collector
-            old._op_engine = None
         _ENGINES.clear()
         eng = _ENGINES[q] = RegionEngine(q)
     return eng
@@ -224,7 +222,6 @@ class RegionEngine:
             r for r in names if self.u_reach[r] & self.neg_cycle_rays
         }
         self._graph = None
-        self._upset = None  # (radius, pump configs) of the last upset call
         self._succ_cache = {}
         self._op_engine = None
         self._cycle_checked = False
@@ -233,11 +230,10 @@ class RegionEngine:
     # --- basic structure ---------------------------------------------------
 
     def op(self):
-        """The opposite description's engine, owned by this one, so that
-        ``op().op() is self`` and it is freed with this engine."""
+        """The opposite description's engine, owned by this one and freed
+        with it; it holds no link back."""
         if self._op_engine is None:
             self._op_engine = RegionEngine(self.q.opposite())
-            self._op_engine._op_engine = self
         return self._op_engine
 
     def graph(self, radius):
@@ -318,13 +314,9 @@ class RegionEngine:
 
         The mask ``level <= radius`` is closed under every translation arrow
         into Window(radius), as :func:`_pump_positions` needs."""
-        if self._upset is not None and self._upset[0] == radius:
-            return self._upset[1]
         g = self.graph(radius)
         live = [lv <= radius for lv in g.level]
-        upset = {_vertex_at(g, vi) for vi in _pump_positions(g, live)}
-        self._upset = (radius, upset)
-        return upset
+        return {_vertex_at(g, vi) for vi in _pump_positions(g, live)}
 
     # --- symbolic reach sets -------------------------------------------------
 
@@ -530,15 +522,6 @@ class RegionEngine:
 
     # --- infinite paths -----------------------------------------------------------
 
-    def _pump_configs(self, radius):
-        """Configs admitting a right-infinite continuation by themselves."""
-        pumps = set(self.upset(radius))
-        g = self.graph(radius)
-        for vi, (name, lv) in enumerate(zip(g.rays_at, g.level)):
-            if lv <= radius and name in self.descent_rays:
-                pumps.add(_vertex_at(g, vi))
-        return pumps
-
     def has_right_infinite_path(self, vref):
         self.ensure_acyclic()
         radius = self._query_radius(vref)
@@ -649,34 +632,30 @@ class RegionEngine:
 
     def _trigger_bundle(self):
         """(seeds, seed_tails) covering every config whose successor set is
-        infinite on its own: fan sources, pump configs, descent rays."""
+        infinite on its own: fan sources, pump configs, descent rays.  The
+        seeds are the fan sources and the Window(base_radius) members of
+        the tails, which hold every pump and descent-ray vertex there."""
         radius = self.base_radius
-        seeds = set(self.fan_sources) | self._pump_configs(radius)
         tails = self._upset_tails(radius)
         for name in self.descent_rays:
             tails[name] = tails.get(name, IndexSet.empty()).union(
                 IndexSet.domain_set(self.q.domain(name))
             )
-        return seeds, tails
+        held = SupportDescription.build(parts=tails).in_window(self.q, radius)
+        return set(self.fan_sources) | held, tails
 
-    def infinite_pred_set(self):
-        """All vertices with infinitely many predecessors."""
+    def ia_no_set(self):
+        """The vertices whose injective is not finitely presented: those
+        reached from a trigger of the opposite quiver (infinitely many
+        predecessors) or from a fan source here (a predecessor of infinite
+        out-degree).  Reach distributes over union, so one reach does."""
         self.ensure_acyclic()
         seeds, tails = self.op()._trigger_bundle()
-        if not seeds and not tails:
+        # every tail has a member in the window, so no seeds means no tails
+        seeds = sorted(seeds | set(self.fan_sources), key=VertexRef.sort_key)
+        if not seeds:
             return SupportDescription.build()
-        return self._succ_support(
-            sorted(seeds, key=VertexRef.sort_key),
-            self.base_radius,
-            seed_tails=tails,
-        )
-
-    def fan_successor_set(self):
-        """All vertices reachable from some fan family source."""
-        self.ensure_acyclic()
-        if not self.fan_sources:
-            return SupportDescription.build()
-        return self._succ_support(list(self.fan_sources), self.base_radius)
+        return self._succ_support(seeds, self.base_radius, seed_tails=tails)
 
     # --- tail classes ------------------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Symbolic region queries: cycles, counts, neighborhoods, tail classes."""
 
+import gc
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import weakref
 from collections import deque
 
 import pytest
@@ -233,17 +235,18 @@ def test_stage_checks(ex1, ex3, ex4, ex5):
 
 
 def test_classification_sets(ex1, ex2, ex3, ex4, ex5):
-    assert engine_for(ex1).infinite_pred_set().is_empty
-    assert engine_for(ex2).infinite_pred_set().ray_part("a").display("int") == "all"
-    ip3 = engine_for(ex3).infinite_pred_set()
-    assert ip3.is_empty
-    fs3 = engine_for(ex3).fan_successor_set()
-    assert fs3.contains(core("v0"))
-    assert fs3.ray_part("b").display("nat") == "all"
-    ip5 = engine_for(ex5).infinite_pred_set()
-    assert ip5.ray_part("b").display("int") == "all"
-    assert ip5.ray_part("a").is_empty
-    assert engine_for(ex4).infinite_pred_set().is_empty
+    assert engine_for(ex1).ia_no_set().is_empty
+    assert engine_for(ex2).ia_no_set().ray_part("a").display("int") == "all"
+    # ex3 has no vertex with infinitely many predecessors: the opposite
+    # quiver triggers nothing, and the no-set is what its fan reaches
+    assert not any(engine_for(ex3).op()._trigger_bundle())
+    no3 = engine_for(ex3).ia_no_set()
+    assert no3.contains(core("v0"))
+    assert no3.ray_part("b").display("nat") == "all"
+    no5 = engine_for(ex5).ia_no_set()
+    assert no5.ray_part("b").display("int") == "all"
+    assert no5.ray_part("a").is_empty
+    assert engine_for(ex4).ia_no_set().is_empty
 
 
 def test_class_equivalence(ex4):
@@ -291,9 +294,24 @@ def test_engine_cache_is_bounded():
     assert not regions._ENGINES
 
 
+def test_clearing_the_registry_frees_the_engine_pair(ex5):
+    classify(ex5)
+    eng = engine_for(ex5)
+    refs = [weakref.ref(eng), weakref.ref(eng.op())]
+    del eng
+    gc.disable()
+    try:
+        regions._ENGINES.clear()
+        # reference counting alone frees both, with the collector off
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_opposite_engine_is_owned(ex3, ex5):
     eng = engine_for(ex5)
-    assert eng.op().op() is eng
+    assert eng.op() is eng.op()
+    assert eng.op()._op_engine is None
     assert list(regions._ENGINES) == [ex5]
     assert ex5.opposite() not in regions._ENGINES
     v = ray("b", 3)
@@ -423,7 +441,6 @@ def test_wide_graph_answers_narrow_radii(q):
     for r in (3, 5, wide.base_radius):
         fresh = RegionEngine(q)
         assert wide.upset(r) == fresh.upset(r)
-        assert wide._pump_configs(r) == fresh._pump_configs(r)
         verts = list(instantiate_window(q, r).vertices)
         picks = rng.sample(verts, min(6, len(verts)))
         for a in picks:
@@ -1497,6 +1514,7 @@ def test_no_set_matches_the_two_reaches(q):
         assert all(s in e.fan_sources or held.contains(s) for s in seeds)
     want = _reference_infinite_pred_set(eng).union(
         _reference_fan_successor_set(eng))
+    assert RegionEngine(q).ia_no_set() == want
     if not eng.interval_finite_witness()[0]:
         return
     try:

@@ -194,7 +194,6 @@ def test_validate_builds_no_window_tuples(tmp_path, capsys, text, code,
                                           witness):
     q = parse(text)
     regions._ENGINES.pop(q, None)
-    regions._ENGINES.pop(q.opposite(), None)
     path = tmp_path / "q.quiver"
     path.write_text(text, encoding="utf-8")
     assert cli.main(["validate", str(path)]) == code
