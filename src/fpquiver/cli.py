@@ -251,8 +251,7 @@ def cmd_oracle_compare(args):
     sample.sort(key=lambda v: v.sort_key())
     probed = 0
     for v in sample:
-        off = abs(v.index) if v.index is not None else 0
-        start = eng.nstar + off + 1
+        start = eng.nstar + abs(v.index) + 1
         radii = tuple(range(start, start + 4))
         for query in (("pred", v), ("succ", v)):
             oracle.window_convergence_probe(q, query, radii)

@@ -2,7 +2,9 @@
 
 Every seed-1 and seed-2 ``catalog-cold`` request runs through
 ``fpquiver.cli.main`` in-process, with the engine cache cleared before each
-request, and so do the scaling shapes the benchmark stops short of:
+request, and so do ``validate`` and ``classify`` on each of the 2,000
+corpus fragments the benchmark draws from (``gen.fragment``) and the
+scaling shapes the benchmark stops short of:
 ``classify`` on far constants C=300, C=600 and C=1000 (the window, and
 with it the one-pass pointwise check, grows with C) and on the R=4 and R=5
 ``int`` ladders, ``validate`` on the R=5 ladder, ``validate`` on the R=5
@@ -32,7 +34,12 @@ core vertex; each runs ``classify``, ``query out`` at a vertex that fires
 it and ``query boundary`` of a class whose support holds its source.
 One request runs ``classify`` on the five fixtures in order and then in
 reverse, without clearing the engine cache, so that the trees' answers are
-compared while the current description switches.  Every distinct seed-1 and
+compared while the current description switches.  One request per fixture
+and per hand-made statement-kind description prints library answers that
+no CLI command gives: ``has_right_infinite_path`` and
+``has_left_infinite_path`` at each core vertex and at ray indices 0, 5 and
+(on ``int`` rays) -5, ``is_interval_finite``, and ``classes_equivalent``
+over every ordered pair of tail classes.  Every distinct seed-1 and
 seed-2 ``reps`` build is written out with ``dump_rep``, followed by the
 ``dump_rep`` of its quotients by its socle and by its radical, its socle and
 radical dimensions and boundary flags, the basis labels of each support
@@ -51,7 +58,7 @@ against (``git worktree add``, or ``git archive`` unpacked elsewhere):
     python3 tools/diff_reports.py PARENT_DIR
 
 Prints each request whose stdout or exit code differs and exits 1 if any
-does, 0 otherwise.  A run takes up to 90 seconds on two cores.
+does, 0 otherwise.  A run takes about two minutes on two cores.
 """
 
 import contextlib
@@ -185,6 +192,9 @@ SCALING = (
     ("unguardedfan", "query boundary (d,+)", UNGUARDED_FAN),
 )
 SWITCHING = "switching classify ex1..ex5 ex5..ex1"  # its request's label
+# descriptions of the library-answers requests
+LIBRARY = (*gen.FIXTURES.items(), ("intofixed", INTO_FIXED),
+           ("unguardedfan", UNGUARDED_FAN))
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
 
@@ -204,6 +214,11 @@ def requests(folder):
             if (text, build, where, n) not in builds:
                 builds.add((text, build, where, n))
                 reps.append((f"reps {name}", text, build, where, n))
+    for j in range(gen.CORPUS_SIZE):
+        path = pathlib.Path(folder) / f"corpus-frag{j}.quiver"
+        path.write_text(gen.fragment(j)[0], encoding="utf-8")
+        for command in ("validate", "classify"):
+            catalog.append((f"corpus {command} frag{j}", [command, str(path)]))
     for name, command, text in SCALING:
         path = pathlib.Path(folder) / f"scaling-{name}.quiver"
         path.write_text(text, encoding="utf-8")
@@ -216,7 +231,28 @@ def requests(folder):
         path.write_text(text, encoding="utf-8")
         switching.append(["classify", str(path)])
     switching += switching[::-1]
-    return {"catalog": catalog, "reps": reps, "switching": switching}
+    return {"catalog": catalog, "reps": reps, "switching": switching,
+            "library": LIBRARY}
+
+
+def library_answers(fp, q):
+    """Answers no CLI command prints: infinite paths both ways at a few
+    vertices, interval finiteness, and equivalence of tail-class pairs."""
+    lines = [f"interval finite: {fp.is_interval_finite(q)}"]
+    probes = [fp.core(name) for name in q.core_vertices]
+    for name, dom in q.rays:
+        probes += [fp.ray(name, i) for i in (0, 5, -5)
+                   if i >= 0 or dom == "int"]
+    for v in probes:
+        lines.append(f"{v.canonical_id()}: right "
+                     f"{fp.has_right_infinite_path(q, v)}, left "
+                     f"{fp.has_left_infinite_path(q, v)}")
+    classes = fp.enumerate_tail_classes(q)[0]
+    for c1 in classes:
+        same = [c2.class_id() for c2 in classes
+                if fp.classes_equivalent(q, c1, c2)]
+        lines.append(f"{c1.class_id()} ~ {' '.join(same)}")
+    return "\n".join(lines) + "\n"
 
 
 def hom_round_trip(fp, m, build, at):
@@ -251,6 +287,13 @@ def collect(tree, spec_path, out_path):
         for argv in spec["switching"]:
             codes.append(fp.cli.main(argv))
     out[SWITCHING] = [codes, buf.getvalue()]
+    for name, text in spec["library"]:
+        regions._ENGINES.clear()
+        try:
+            answer = [0, library_answers(fp, fp.parse(text))]
+        except Exception as exc:  # a failed answer is an output to compare
+            answer = [1, f"{type(exc).__name__}: {exc}"]
+        out[f"library {name}"] = answer
     for label, text, build, where, n in spec["reps"]:
         regions._ENGINES.clear()
         q = fp.parse(text)

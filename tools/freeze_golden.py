@@ -81,7 +81,6 @@ def main():
     golden["ex2 pred r:a:0 trace radii 2..6"] = pred_trace(
         ex2, ray("a", 0), range(2, 7))
 
-    i1 = None
     from fpquiver import linrep  # windows only; ranks are brute
 
     i1 = linrep.build_I(ex1, ray("a", 2), 4)
