@@ -1514,7 +1514,7 @@ def test_no_set_matches_the_two_reaches(q):
         assert all(s in e.fan_sources or held.contains(s) for s in seeds)
     want = _reference_infinite_pred_set(eng).union(
         _reference_fan_successor_set(eng))
-    assert RegionEngine(q).ia_no_set() == want
+    assert eng.ia_no_set() == want
     if not eng.interval_finite_witness()[0]:
         return
     try:
