@@ -1529,3 +1529,82 @@ def test_no_set_matches_the_two_reaches(q):
         assert rv.no_set == want.ray_part(rv.ray).intersect(domain), rv.ray
     for name, v in cat.ia_core:
         assert v.is_yes == (not want.contains(core(name))), name
+
+
+# --- the pump set as one engine fact: references ----------------------------
+
+# every vertex of a is a pump, through the guarded family h, although the
+# unguarded component of a has no cycle
+UP = (
+    "quiver up\nray a domain int\nray c domain int\n"
+    "family f: a[i] -> c[i] for all i\n"
+    "family g: c[i] -> c[i+1] for all i\n"
+    "family h: c[i] -> a[i+5] for i >= 0\n"
+)
+
+
+def _dense_text(rays):
+    """``rays`` int rays with a family from each ray to every other, one
+    index up."""
+    lines = [f"quiver dense{rays}"]
+    lines += [f"ray r{k} domain int" for k in range(rays)]
+    lines += [f"family f{k}_{j}: r{k}[i] -> r{j}[i+1] for all i"
+              for k in range(rays) for j in range(rays) if k != j]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_pump_tails(eng):
+    """The pump set per ray, fitted like a reach set from a window
+    ``bound + 2`` wider than base_radius, flagged up where the pumps reach
+    base_radius and down where they reach -base_radius."""
+    radius = eng.base_radius
+    big = eng.upset(radius + eng.bound + 2)
+    data = {name: set() for name in eng.q.ray_names()}
+    for v in big:
+        if abs(v.index) <= radius:
+            data[v.name].add(v.index)
+    return {
+        name: eng._fit_ray(name, data[name], dom, radius,
+                           radius in data[name], -radius in data[name])
+        for name, dom in eng.q.rays
+        if data[name]
+    }
+
+
+def _reference_right_infinite(eng, v, upsets):
+    """Does a window pump or a descent-ray vertex lie in the window reach
+    of ``v``?  ``upsets`` caches upset(radius) by radius."""
+    eng.ensure_acyclic()
+    radius = eng._query_radius(v)
+    if radius not in upsets:
+        upsets[radius] = eng.upset(radius)
+    g = eng.graph(radius)
+    seen = regions._reached(g, [v], radius)
+    return any(
+        hit and (name in eng.descent_rays
+                 or regions._vertex_at(g, vi) in upsets[radius])
+        for vi, (name, hit) in enumerate(zip(g.rays_at, seen))
+    )
+
+
+def _pump_inputs():
+    return _no_set_inputs() + [
+        parse(_dense_text(k)) for k in (4, 5, 6)] + [parse(UP)]
+
+
+@pytest.mark.parametrize("q", _pump_inputs(), ids=lambda q: q.name)
+def test_pump_tails_and_infinite_paths_match_the_references(q):
+    eng = RegionEngine(q)
+    if eng.cycle_witness() is not None:
+        return
+    for e in (eng, eng.op()):
+        assert e._upset_tails(e.base_radius) == _reference_pump_tails(e)
+    verts = [core(name) for name in q.core_vertices]
+    for name, dom in q.rays:
+        verts += [ray(name, i) for i in range(0 if dom == "nat" else -8, 9)]
+    right, left = {}, {}
+    for v in verts:
+        assert eng.has_right_infinite_path(v) == _reference_right_infinite(
+            eng, v, right), v
+        assert eng.has_left_infinite_path(v) == _reference_right_infinite(
+            eng.op(), v, left), v
