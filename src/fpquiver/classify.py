@@ -182,7 +182,7 @@ def _pointwise_ia(eng):
     flag = [
         ok and name in op.descent_rays for name, ok in zip(g.rays_at, live)
     ]
-    for vi in regions._pump_positions(g, live):
+    for vi in regions._pump_positions(g, radius):
         flag[vi] = True
     for v in (*op.fan_sources, *eng.fan_sources):
         flag[w.vertex_index(v)] = True

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 from collections import deque, namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
+from types import MappingProxyType
 
 from .patterns import (
     Finite,
@@ -310,13 +312,36 @@ class RegionEngine:
 
     def upset(self, radius):
         """Configs of Window(radius) that reach a strictly higher same-ray
-        config through translation arrows only (hence pump upward forever).
-
-        The mask ``level <= radius`` is closed under every translation arrow
-        into Window(radius), as :func:`_pump_positions` needs."""
+        config through translation arrows only (hence pump upward forever)."""
         g = self.graph(radius)
-        live = [lv <= radius for lv in g.level]
-        return {_vertex_at(g, vi) for vi in _pump_positions(g, live)}
+        return {_vertex_at(g, vi) for vi in _pump_positions(g, radius)}
+
+    @cached_property
+    def pump_tails(self):
+        """The pump set of each ray that has a pump, read-only.
+
+        A pump is a config whose translation arrows lead to a higher index
+        on its own ray.  Guards are lower bounds, so a pump path shifted up
+        by one is one too: the set is closed upward, {i >= t} or the whole
+        ray.  A pump path climbs less than ``bound`` (a simple template
+        cycle visits each ray at most once), so Window(base_radius) holds
+        the pumps with |i| <= rho = base_radius - bound - 2 exactly; t is
+        the least of them, and they must be [t, rho]."""
+        rho = self.base_radius - self.bound - 2
+        data = {name: set() for name in self.q.ray_names()}
+        for v in self.upset(self.base_radius):
+            if abs(v.index) <= rho:
+                data[v.name].add(v.index)
+        tails = {}
+        for name, pumps in data.items():
+            if pumps:
+                t = min(pumps)
+                if len(pumps) != rho + 1 - t:
+                    raise InternalConsistencyError(
+                        f"the pumps on ray {name} are not closed upward")
+                tails[name] = (IndexSet.domain_set(DOMAIN_INT) if t == -rho
+                               else IndexSet.up_from(t))
+        return MappingProxyType(tails)
 
     # --- symbolic reach sets -------------------------------------------------
 
@@ -338,24 +363,23 @@ class RegionEngine:
             else:
                 ray_data[name].add(g.index_at[vi])
 
-        up_seeds, down_seeds = set(), set()
+        occupied = {name for name, data in ray_data.items() if data}
+        # the pump sets are closed upward: a reach meets one iff its top does
+        up_seeds = {name for name in occupied if name in self.pump_tails
+                    and self.pump_tails[name].contains(max(ray_data[name]))}
+        down_seeds = set()
         for src, fans in self.fan_sources.items():
             if seen[g.window.vertex_index(src)]:
                 for f in fans:
                     up_seeds.add(f.target.name)
                     if f.lower is None:
                         down_seeds.add(f.target.name)
-        # the reach set is closed under the translation arrows of
-        # Window(radius), so its pumps are upset(radius) within it
-        for vi in _pump_positions(g, seen):
-            up_seeds.add(g.rays_at[vi])
         if seed_tails:
             for name, iset in seed_tails.items():
                 if iset.up is not None:
                     up_seeds.add(name)
                 if iset.down is not None:
                     down_seeds.add(name)
-        occupied = {name for name, data in ray_data.items() if data}
         for r0 in occupied:
             for c in self.u_reach[r0] & self.neg_cycle_rays:
                 down_seeds |= self.u_reach[c]
@@ -523,14 +547,13 @@ class RegionEngine:
     # --- infinite paths -----------------------------------------------------------
 
     def has_right_infinite_path(self, vref):
+        """Does the reach of ``vref`` meet a pump set or a descent ray?"""
         self.ensure_acyclic()
-        radius = self._query_radius(vref)
-        g = self.graph(radius)
-        seen = _reached(g, [vref], radius)
+        reach = self._succ_support([vref], self._query_radius(vref))
         return any(
-            hit and name in self.descent_rays
-            for name, hit in zip(g.rays_at, seen)
-        ) or bool(_pump_positions(g, seen))
+            not reach.ray_part(name).intersect(tail).is_empty
+            for name, tail in self.pump_tails.items()
+        ) or any(not reach.ray_part(name).is_empty for name in self.descent_rays)
 
     def has_left_infinite_path(self, vref):
         return self.op().has_right_infinite_path(vref)
@@ -540,7 +563,7 @@ class RegionEngine:
     def _infinity_sources(self):
         """Candidate configs whose successor set may be infinite: fan
         sources plus a stride-representative band of pump configs."""
-        upset = self.upset(self.base_radius)
+        tails = self.pump_tails
         lo, hi = self.guard_zone, self.guard_zone + 2 * self.bound
         out = list(self.fan_sources)
         band = {}
@@ -548,7 +571,8 @@ class RegionEngine:
             band[name] = [ray(name, i) for i in range(lo, hi + 1)]
             if dom == DOMAIN_INT:
                 band[name] += [ray(name, i) for i in range(-hi, -lo + 1)]
-            out += [v for v in band[name] if v in upset]
+            if name in tails:
+                out += [v for v in band[name] if tails[name].contains(v.index)]
         # descent rays are int rays: unguarded families never touch a nat ray
         for name in sorted(self.descent_rays):
             out += band[name]
@@ -604,39 +628,13 @@ class RegionEngine:
 
     # --- classification support sets ---------------------------------------------------
 
-    def _upset_tails(self, radius):
-        """The pump set per ray, fitted like a reach set.
-
-        A pump is a config whose translation arrows lead to a higher index
-        on its own ray.  A pump path climbs less than ``bound`` (a simple
-        template cycle visits each ray at most once), so a window ``bound +
-        2`` wider holds the pumps with |index| <= radius exactly.  Guards
-        are lower bounds, so past the guard zone the pump set is closed
-        upward.  The fit is flagged up where the pumps reach ``radius`` and
-        down where they reach ``-radius``.  It raises on pumps within
-        ``setback`` (more than ``bound + 2``) of an edge they do not reach
-        and on a band with no period, so a ragged pump set raises."""
-        big = self.upset(radius + self.bound + 2)
-        data = {name: set() for name in self.q.ray_names()}
-        for v in big:
-            if abs(v.index) <= radius:
-                data[v.name].add(v.index)
-        return {
-            name: self._fit_ray(
-                name, data[name], dom, radius,
-                radius in data[name], -radius in data[name],
-            )
-            for name, dom in self.q.rays
-            if data[name]
-        }
-
     def _trigger_bundle(self):
         """(seeds, seed_tails) covering every config whose successor set is
         infinite on its own: fan sources, pump configs, descent rays.  The
         seeds are the fan sources and the Window(base_radius) members of
         the tails, which hold every pump and descent-ray vertex there."""
         radius = self.base_radius
-        tails = self._upset_tails(radius)
+        tails = dict(self.pump_tails)
         for name in self.descent_rays:
             tails[name] = tails.get(name, IndexSet.empty()).union(
                 IndexSet.domain_set(self.q.domain(name))
@@ -950,24 +948,20 @@ def _reached(g, seeds, radius):
     return seen
 
 
-def _pump_positions(g, live):
-    """Positions of the ray vertices of ``live`` (a per-vertex mask) from
-    which translation arrows through ``live`` lead to a higher index on
-    their own ray.
-
-    ``live`` must be closed under the translation arrows that stay in the
-    window being asked about (level <= radius): then a vertex's answer is
-    the one over that whole window.  A DP in reverse topological order
-    keeps, per vertex, the highest index it reaches on each ray."""
+def _pump_positions(g, radius):
+    """Positions of the ray vertices of Window(radius) from which
+    translation arrows in that window lead to a higher index on their own
+    ray.  A DP in reverse topological order keeps, per vertex, the highest
+    index it reaches on each ray."""
     if g.topo is None:
         raise PreconditionError("pump analysis requires an acyclic window")
-    rays_at, index_at = g.rays_at, g.index_at
+    rays_at, index_at, level = g.rays_at, g.index_at, g.level
     # per vertex, {ray: highest index reached}; a dict is shared with a
     # target whenever the vertex adds nothing to it, and never mutated
     top = [None] * len(rays_at)
     out = []
     for vi in reversed(g.topo):
-        if not live[vi]:
+        if level[vi] > radius:
             continue
         name = rays_at[vi]
         if name is None:
