@@ -741,7 +741,7 @@ class RegionEngine:
         # does the first half of one tail occur early in the other spelling?
         for a, b in ((s1, s2), (s2, s1)):
             head = a[n:][: (len(a) - n) // 2]
-            if any(b[off : off + len(head)] == head for off in range(n)):
+            if any(b[off : off + len(head)] == head for off in range(n + 1)):
                 return True
         return False
 

@@ -259,6 +259,20 @@ def test_class_equivalence(ex4):
                      start=ray("b", 2), cycle=("beta",))
     assert eng.classes_equivalent(c_a5, c_a9)
     assert not eng.classes_equivalent(c_a5, c_b2)
+    # on catalog classes the relation is equality: reflexive, symmetric,
+    # and distinct classes are not equivalent
+    rng = random.Random("equivalence")
+    qs = [load_quiver(f"ex{k}") for k in range(1, 6)]
+    qs += [oracle.random_description(rng, f"rnd{k}") for k in range(30)]
+    for q in qs:
+        e = RegionEngine(q)
+        if e.cycle_witness() is not None:
+            continue
+        classes = e.tail_classes()[0]
+        for c1 in classes:
+            assert e.classes_equivalent(c1, c1), c1
+            for c2 in classes:
+                assert e.classes_equivalent(c1, c2) == (c1 == c2), (c1, c2)
 
 
 def test_stabilization_index_positive(corpus):
