@@ -14,8 +14,9 @@ not interval finite through a pair of distinct vertices (exit 3), and
 ladder, two acyclic inputs with a large (ray, gain) space for the cycle
 search, and on dense templates (N ``int`` rays with the N(N-1) families
 ``rK[i] -> rJ[i+1] for all i``, K != J, one strongly connected component
-with far more cycles than rays): ``validate`` at N=9 and ``classify`` at N=6,
-which reports infinitely many tail classes.  Three small descriptions catch
+with far more cycles than rays): ``validate`` at N=9 and ``classify`` at N=6
+and N=8, which report infinitely many tail classes and are where the pump
+search costs most.  Three small descriptions catch
 what the benchmark's requests cannot: ``rep --dump`` of P and I on ex3 and
 on a shortcut quiver, whose paths between two vertices differ in length
 (so the basis order shows), and ``query succ`` on a stride-3 description
@@ -32,14 +33,18 @@ a fan source.  Two descriptions hold the statement kinds no fixture has:
 a family from a ray into a fixed ray vertex, and an unguarded fan from a
 core vertex; each runs ``classify``, ``query out`` at a vertex that fires
 it and ``query boundary`` of a class whose support holds its source.
+A quiver whose pumps need a guarded family (every vertex of ``a`` is one,
+through ``c[i] -> a[i+5] for i >= 0``, while the unguarded component of
+``a`` has no cycle) runs ``validate``, ``classify`` (exit 1 on the known
+"unsupported shape" defect) and ``query succ r:a:-50``.
 One request runs ``classify`` on the five fixtures in order and then in
 reverse, without clearing the engine cache, so that the trees' answers are
-compared while the current description switches.  One request per fixture
-and per hand-made statement-kind description prints library answers that
-no CLI command gives: ``has_right_infinite_path`` and
-``has_left_infinite_path`` at each core vertex and at ray indices 0, 5 and
-(on ``int`` rays) -5, ``is_interval_finite``, and ``classes_equivalent``
-over every ordered pair of tail classes.  Every distinct seed-1 and
+compared while the current description switches.  One request per fixture,
+per hand-made statement-kind description and for that quiver prints
+library answers that no CLI command gives: ``has_right_infinite_path``
+and ``has_left_infinite_path`` at each core vertex and at ray indices 0,
+5 and (on ``int`` rays) -5, ``is_interval_finite``, and
+``classes_equivalent`` over every ordered pair of tail classes.  Every distinct seed-1 and
 seed-2 ``reps`` build is written out with ``dump_rep``, followed by the
 ``dump_rep`` of its quotients by its socle and by its radical, its socle and
 radical dimensions and boundary flags, the basis labels of each support
@@ -144,6 +149,16 @@ UNGUARDED_FAN = (
 )
 
 
+# every vertex of a is a pump through the guarded family h, although the
+# unguarded component of a has no cycle (tests/test_regions.py)
+UP = (
+    "quiver up\nray a domain int\nray c domain int\n"
+    "family f: a[i] -> c[i] for all i\n"
+    "family g: c[i] -> c[i+1] for all i\n"
+    "family h: c[i] -> a[i+5] for i >= 0\n"
+)
+
+
 def dense_text(rays, name):
     """``rays`` int rays with a family from each ray to every other, one
     index up."""
@@ -173,6 +188,7 @@ SCALING = (
      gen.ladder_text(random.Random(0), 5, 2, "int", "ladder5s2")[0]),
     ("dense9", "validate", dense_text(9, "dense9")),
     ("dense6", "classify", dense_text(6, "dense6")),
+    ("dense8", "classify", dense_text(8, "dense8")),
     ("ex3", "rep P v:v0 --window 4 --dump", gen.FIXTURES["ex3"]),
     ("ex3", "rep I r:b:4 --window=4 --dump", gen.FIXTURES["ex3"]),
     ("shortcut", "rep --dump P r:a:0 --window 3", SHORTCUT),
@@ -190,11 +206,14 @@ SCALING = (
     ("unguardedfan", "classify", UNGUARDED_FAN),
     ("unguardedfan", "query out v:c0", UNGUARDED_FAN),
     ("unguardedfan", "query boundary (d,+)", UNGUARDED_FAN),
+    ("up", "validate", UP),
+    ("up", "classify", UP),
+    ("up", "query succ r:a:-50", UP),
 )
 SWITCHING = "switching classify ex1..ex5 ex5..ex1"  # its request's label
 # descriptions of the library-answers requests
 LIBRARY = (*gen.FIXTURES.items(), ("intofixed", INTO_FIXED),
-           ("unguardedfan", UNGUARDED_FAN))
+           ("unguardedfan", UNGUARDED_FAN), ("up", UP))
 CATALOG_BLOCKS = 2  # perfbench/run.py: every distinct request of a seed
 DIFF_LINES = 20
 
