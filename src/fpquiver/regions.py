@@ -326,7 +326,10 @@ class RegionEngine:
         ray.  A pump path climbs less than ``bound`` (a simple template
         cycle visits each ray at most once), so Window(base_radius) holds
         the pumps with |i| <= rho = base_radius - bound - 2 exactly; t is
-        the least of them, and they must be [t, rho]."""
+        the least of them, and they must be [t, rho].  A pump path from far
+        below the guard zone uses unguarded families only, and shifts down,
+        or climbs into the zone round a cycle of them, which one more turn
+        lifts from one index lower: pumps down to -rho make the whole ray."""
         rho = self.base_radius - self.bound - 2
         data = {name: set() for name in self.q.ray_names()}
         for v in self.upset(self.base_radius):
