@@ -168,6 +168,7 @@ def _path_basis(window, a, reverse=False):
 
 
 _ONE = Fraction(1)
+_ZERO = ratmat._ZERO
 
 
 def build_P(q, a, n):
@@ -579,7 +580,7 @@ class HomSpace:
         if self.kind == "from_projective":
             paths = _path_basis(window, self.vertex)
             for v, ps in paths.items():
-                mat = [[Fraction(0)] * len(ps) for _ in range(m.dim(v))]
+                mat = [[_ZERO] * len(ps) for _ in range(m.dim(v))]
                 for col, (_, arrows) in enumerate(ps):
                     p = Path(self.vertex, arrows)
                     img = ratmat.mat_vec(apply_path(m, p), x)
@@ -594,7 +595,7 @@ class HomSpace:
                 mp = apply_path(m, Path(v, arrows))
                 mat.append(
                     [
-                        sum((x[i] * mp[i][j] for i in range(len(mp))), Fraction(0))
+                        sum((x[i] * mp[i][j] for i in range(len(mp))), _ZERO)
                         for j in range(m.dim(v))
                     ]
                 )
@@ -795,10 +796,11 @@ def dump_rep(m):
         cols = len(mat[0]) if mat else m.dim(ar.source)
         lines.append(f"arrow {ar.canonical_id()} {rows}x{cols}")
         for row in mat:
-            # most entries of a path map are 0: format only the others
+            # most entries of a path map are the shared zero: skip it by
+            # identity and format only the others
             cells = ["0/1"] * len(row)
             for j, c in enumerate(row):
-                if c:
+                if c is not _ZERO and c:
                     cells[j] = f"{c.numerator}/{c.denominator}"
             lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"

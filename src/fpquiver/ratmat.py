@@ -1,15 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Elimination is sparse exact
-Gauss-Jordan: each input row is scanned once and kept as a {column:
-Fraction} dict of its nonzero entries, so eliminating the 0/1 maps of path
-representations, with at most one nonzero per row and column, costs their
-nonzeros rather than rows x columns.  Ranks, kernels, solutions and reduced
-bases are read off the reduced row echelon form, which is unique, so they
-do not depend on the order of elimination.
+Matrices are lists of rows of Fractions.  Every zero this module writes
+into a grid is one shared constant, ``_ZERO``; a Fraction is immutable and
+a grid is changed only by replacing its entries, so the sharing is safe.
+Elimination is sparse exact Gauss-Jordan: each input row is scanned once
+and kept as a {column: Fraction} dict of its nonzero entries.  The scan
+costs one identity test per stored entry: the shared zero is skipped
+there, and only the other entries (nonzeros, and zeros computed or built
+elsewhere) are truth-tested and, unless already Fractions, converted.
+Arithmetic is then spent only on nonzeros and on pivots other than 1: a
+pivot row is divided by its pivot only when that pivot is not 1, so the
+0/1 maps of path representations are eliminated without a division.
+Ranks, kernels, solutions and reduced bases are read off the reduced row
+echelon form, which is unique, so they do not depend on the order of
+elimination.
 """
 
 from fractions import Fraction
+
+_ZERO = Fraction(0)
 
 
 def mat(rows):
@@ -18,7 +27,7 @@ def mat(rows):
 
 
 def zeros(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
+    return [[_ZERO] * c for _ in range(r)]
 
 
 def identity(n):
@@ -68,7 +77,9 @@ def _echelon(a):
     """
     piv = {}
     for row in a:
-        r = {c: Fraction(x) for c, x in enumerate(row) if x}
+        # the shared zero is skipped by identity, before any Fraction code
+        r = {c: x if type(x) is Fraction else Fraction(x)
+             for c, x in enumerate(row) if x is not _ZERO and x}
         while True:
             c = min((c for c in r if c in piv), default=None)
             if c is None:
@@ -77,7 +88,8 @@ def _echelon(a):
         if r:
             p = min(r)
             inv = r[p]
-            piv[p] = {c: x / inv for c, x in r.items()}
+            # r is this loop's own dict, so a unit pivot row is kept as is
+            piv[p] = r if inv == 1 else {c: x / inv for c, x in r.items()}
     return piv
 
 
@@ -109,7 +121,7 @@ def _axpy(r, f, row):
 def _dense(rows, cols):
     out = []
     for _, r in rows:
-        d = [Fraction(0)] * cols
+        d = [_ZERO] * cols
         for c, x in r.items():
             d[c] = x
         out.append(d)
@@ -137,7 +149,7 @@ def kernel_basis(a, cols=None):
     out = {}
     for fc in range(cols):
         if fc not in pivots:
-            v = [Fraction(0)] * cols
+            v = [_ZERO] * cols
             v[fc] = Fraction(1)
             out[fc] = v
     for p, r in rows:
@@ -152,11 +164,11 @@ def solve(a, b):
     if len(a) != len(b):
         raise ValueError("shape mismatch in linear system")
     cols = len(a[0]) if a else 0
-    x = [Fraction(0)] * cols
+    x = [_ZERO] * cols
     for p, r in _reduce([list(row) + [bb] for row, bb in zip(a, b)]):
         if p == cols:
             return None
-        x[p] = r.get(cols, Fraction(0))
+        x[p] = r.get(cols, _ZERO)
     return x
 
 
@@ -187,7 +199,7 @@ def intersect_spaces(u, v):
         return []
     n = len(u[0])
     block = [list(row) + list(row) for row in u]
-    block += [list(row) + [Fraction(0)] * n for row in v]
+    block += [list(row) + [_ZERO] * n for row in v]
     m, _ = rref(block)
     out = []
     for row in m:
@@ -205,7 +217,7 @@ def complement_basis(u, n):
     """
     last = {n - 1 - p for p in _echelon([row[::-1] for row in u])}
     return [
-        [Fraction(1) if i == c else Fraction(0) for i in range(n)]
+        [Fraction(1) if i == c else _ZERO for i in range(n)]
         for c in range(n)
         if c not in last
     ]
