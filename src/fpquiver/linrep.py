@@ -11,7 +11,9 @@ Each path basis is built once, each path carried as its arrow-id tuple next
 to its arrows: the tuples order the basis (as ``Path.sort_key`` does), index
 the rows and columns of the 0/1 arrow maps and spell the basis labels (as
 ``Path.describe`` does), so no arrow id is recomputed per path.  The maps
-stay dense ``Fraction`` grids, the layout the benchmark's tracer reads.
+stay dense ``Fraction`` grids, the layout the benchmark's tracer reads,
+and every zero in them is ``ratmat``'s one shared zero, which elimination
+and ``dump_rep`` skip by identity.
 """
 
 from dataclasses import dataclass, field
@@ -35,8 +37,10 @@ class InfiniteDimensionAt(Exception):
 class RepWindow:
     """Fibers and arrow matrices over one window.
 
-    maps[arrow canonical id] has shape dim(target) x dim(source); fibers
-    and maps missing from the dicts are zero.
+    maps[arrow canonical id] has shape dim(target) x dim(source), a dense
+    list of rows whose zeros are ``ratmat``'s shared zero when this module
+    builds them (any zero is read correctly); fibers and maps missing from
+    the dicts are zero.
     """
 
     window: object

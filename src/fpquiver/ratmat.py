@@ -8,9 +8,9 @@ and kept as a {column: Fraction} dict of its nonzero entries.  The scan
 costs one identity test per stored entry: the shared zero is skipped
 there, and only the other entries (nonzeros, and zeros computed or built
 elsewhere) are truth-tested and, unless already Fractions, converted.
-Arithmetic is then spent only on nonzeros and on pivots other than 1: a
-pivot row is divided by its pivot only when that pivot is not 1, so the
-0/1 maps of path representations are eliminated without a division.
+Arithmetic is then spent only on nonzeros, and a pivot row is divided by
+its pivot only when that pivot is not 1, so the 0/1 maps of path
+representations are eliminated without a division.
 Ranks, kernels, solutions and reduced bases are read off the reduced row
 echelon form, which is unique, so they do not depend on the order of
 elimination.

@@ -1,11 +1,12 @@
 """Representation windows: builders, structure maps, hom spaces, tails."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import load_gen, load_quiver
-from fpquiver import ratmat
+from fpquiver import oracle, ratmat
 from fpquiver.linrep import (
     InfiniteDimensionAt,
     MorphismWindow,
@@ -550,3 +551,63 @@ def test_tail_bijectivity_matches_the_orbit_walk(q, built):
         for m in reps:
             assert _bijectivity_outcome(eventual_tail_bijectivity, m, cls) == (
                 _bijectivity_outcome(_reference_tail_bijectivity, m, cls)), cls
+
+
+# --- the shared zero: representations must not depend on how a zero is spelled
+
+
+def _ladder_build(build):
+    """P at the bottom of the first ray, I at the top of the last or Y of
+    the first ray's class, on a benchmark-shaped 3-ray nat ladder, with the
+    vertex its hom request uses."""
+    n = 8
+    text, ids = load_gen().ladder_text(random.Random(0), 3, 1, "nat",
+                                       "ladder3nat8")
+    q = parse(text)
+    if build == "P":
+        return build_P(q, ray(ids[0], 0), n), ray(ids[0], 0)
+    if build == "I":
+        return build_I(q, ray(ids[-1], n), n), ray(ids[-1], n)
+    cls = next(c for c in engine_for(q).tail_classes()[0] if c.ray == ids[0])
+    m = build_Y(q, cls, n)
+    return m, max(m.support(), key=lambda v: (m.dim(v), v.sort_key()))
+
+
+def _with_fresh_zeros(m):
+    """The same representation with every zero a distinct Fraction(0)."""
+    maps = {aid: [[Fraction(0) if x == 0 else x for x in row] for row in mat]
+            for aid, mat in m.maps.items()}
+    return RepWindow(m.window, m.dims, maps, m.basis_labels)
+
+
+def _hom_answers(build, m, at):
+    make = hom_to_injective if build == "P" else hom_from_projective
+    h = make(m, at)
+    x = [k % 5 + 1 for k in range(h.dimension)]
+    f = h.realize(x)
+    return h.dimension, h.extract(f), {
+        v: f.component(v) for v in m.window.vertices}
+
+
+@pytest.mark.parametrize("build", ("P", "I", "Y"))
+def test_structure_does_not_depend_on_how_zeros_are_spelled(build):
+    m, at = _ladder_build(build)
+    fresh = _with_fresh_zeros(m)
+    # Y of the first ray is one-dimensional along it: its maps hold no zero
+    assert build == "Y" or any(x is ratmat._ZERO for mat in m.maps.values()
+                               for row in mat for x in row)
+    assert not any(x is ratmat._ZERO for mat in fresh.maps.values()
+                   for row in mat for x in row)
+    assert dump_rep(fresh) == dump_rep(m)
+    soc, rad = socle(m), radical(m)
+    assert soc.dims_dict() == oracle.brute_socle(m)
+    assert rad.dims_dict() == oracle.brute_radical(m)
+    assert soc.dims_dict() and rad.dims_dict()
+    for sub, sub_fresh in ((soc, socle(fresh)), (rad, radical(fresh))):
+        assert sub_fresh.bases == sub.bases
+        assert sub_fresh.boundary == sub.boundary
+        assert dump_rep(quotient(fresh, sub_fresh)) == dump_rep(
+            quotient(m, sub))
+    dim, back, comps = _hom_answers(build, m, at)
+    assert dim > 0 and back == [k % 5 + 1 for k in range(dim)]
+    assert _hom_answers(build, fresh, at) == (dim, back, comps)

@@ -1,9 +1,11 @@
 """Exact rational linear algebra."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from fpquiver import oracle
 from fpquiver import ratmat as rm
 
 
@@ -119,3 +121,120 @@ def test_mat_eq_and_is_zero():
     assert rm.mat_eq(rm.zeros(2, 2), [[0, 0], [0, 0]])
     assert rm.is_zero(rm.zeros(3, 1))
     assert not rm.is_zero(rm.identity(1))
+
+
+# --- the shared zero: elimination must not depend on how a zero is spelled
+
+# every kind of zero a grid can hold (the shared one, a fresh Fraction, a
+# computed one, an int), and nonzeros that are units, Fractions and ints
+_ENTRIES = (
+    lambda: rm._ZERO,
+    lambda: Fraction(0),
+    lambda: Fraction(1) - Fraction(1),
+    lambda: 0,
+    lambda: Fraction(1),
+    lambda: Fraction(-1),
+    lambda: 1,
+    lambda: -1,
+    lambda: Fraction(1, 2),
+    lambda: Fraction(-3, 2),
+)
+
+
+def _random_matrix(rng):
+    rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+    # mostly zeros, as in the path maps, with a denser draw now and then
+    zero_share = rng.choice((0.3, 0.6, 0.9))
+    return [[rng.choice(_ENTRIES[:4])() if rng.random() < zero_share
+             else rng.choice(_ENTRIES)() for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _fresh_zeros(a):
+    """The same matrix with every zero a distinct new Fraction(0)."""
+    return [[Fraction(0) if x == 0 else x for x in row] for row in a]
+
+
+def _snapshot(a):
+    return [(row, list(row)) for row in a]
+
+
+def _unchanged(a, snap):
+    """Neither the rows nor the entries of ``a`` were replaced."""
+    return len(a) == len(snap) and all(
+        row is old_row and len(row) == len(entries)
+        and all(x is y for x, y in zip(row, entries))
+        for row, (old_row, entries) in zip(a, snap))
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_elimination_matches_brute_force_for_every_zero(seed):
+    rng = random.Random(seed)
+    a = _random_matrix(rng)
+    rows, cols = len(a), len(a[0])
+    snap = _snapshot(a)
+    r = rm.rank(a)
+    assert r == oracle.brute_rank(a)
+    assert _unchanged(a, snap)
+
+    kernel = rm.kernel_basis(a)
+    assert _unchanged(a, snap)
+    assert len(kernel) == cols - r
+    assert _all_fractions(kernel)
+    for v in kernel:
+        assert all(x == 0 for x in rm.mat_vec(a, v))
+    assert rm.rank(kernel) == len(kernel)
+
+    fresh = _fresh_zeros(a)
+    reduced, pivots = rm.rref(a)
+    assert _unchanged(a, snap)
+    assert (reduced, pivots) == rm.rref(fresh)
+    assert len(pivots) == r and _all_fractions(reduced)
+    basis = rm.span_basis(a)
+    assert _unchanged(a, snap)
+    assert basis == rm.span_basis(fresh) == reduced
+    assert _all_fractions(basis)
+
+    # a solvable right-hand side, and whatever one random vector gives
+    x0 = [rng.choice(_ENTRIES)() for _ in range(cols)]
+    for b in (rm.mat_vec(a, x0), [rng.choice(_ENTRIES)() for _ in range(rows)]):
+        b_snap = list(b)
+        x = rm.solve(a, b)
+        assert _unchanged(a, snap) and all(u is v for u, v in zip(b, b_snap))
+        if x is None:
+            assert oracle.brute_rank([list(row) + [bb] for row, bb in
+                                      zip(a, b)]) > r
+        else:
+            assert len(x) == cols and all(type(c) is Fraction for c in x)
+            assert rm.mat_vec(a, x) == [Fraction(bb) for bb in b]
+    assert rm.solve(a, rm.mat_vec(a, x0)) is not None
+
+    comp = rm.complement_basis(a, cols)
+    assert _unchanged(a, snap)
+    assert len(comp) == cols - r and _all_fractions(comp)
+    assert oracle.brute_rank(list(a) + comp) == cols
+    assert comp == rm.complement_basis(fresh, cols)
+
+
+def test_shared_zero_fills_the_constructors():
+    assert all(x is rm._ZERO for row in rm.zeros(3, 4) for x in row)
+    ident = rm.identity(3)
+    assert all(ident[i][j] is rm._ZERO for i in range(3) for j in range(3)
+               if i != j)
+    rows, _ = rm.rref(rm.mat([[1, 2, 0], [0, 0, 1]]))
+    assert rows[0][2] is rm._ZERO and rows[1][0] is rm._ZERO
+
+
+def test_unit_pivot_rows_keep_their_entries():
+    half = Fraction(1, 2)
+    a = [[rm._ZERO, Fraction(1), half], [Fraction(2), rm._ZERO, rm._ZERO]]
+    rows, pivots = rm.rref(a)
+    assert pivots == [0, 1]
+    assert rows == [[1, 0, 0], [0, 1, half]]
+    # the undivided unit-pivot row hands the input's Fraction through
+    assert rows[1][2] is half
+    assert a == [[0, 1, half], [2, 0, 0]]

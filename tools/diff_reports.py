@@ -44,12 +44,15 @@ per hand-made statement-kind description and for that quiver prints
 library answers that no CLI command gives: ``has_right_infinite_path``
 and ``has_left_infinite_path`` at each core vertex and at ray indices 0,
 5 and (on ``int`` rays) -5, ``is_interval_finite``, and
-``classes_equivalent`` over every ordered pair of tail classes.  Every distinct seed-1 and
-seed-2 ``reps`` build is written out with ``dump_rep``, followed by the
-``dump_rep`` of its quotients by its socle and by its radical, its socle and
-radical dimensions and boundary flags, the basis labels of each support
-vertex, and the hom dimension and realize/extract round trip at the build's
-vertex.  Each tree runs in its own subprocess with ``PYTHONPATH=<tree>/src``
+``classes_equivalent`` over every ordered pair of tail classes.  Every
+distinct seed-1 and seed-2 ``reps`` build is written out with ``dump_rep``,
+followed by the ``dump_rep`` of its socle and radical as representations
+and of its quotients by each, its socle and radical dimensions and boundary
+flags, the basis labels of each support vertex, the dimensions of the
+subrepresentation generated by the first basis vector at the build's
+vertex, the hom dimension and realize/extract round trip there, and, for a
+Y build, the ``eventual_tail_bijectivity`` of its class or the exception it
+raises.  Each tree runs in its own subprocess with ``PYTHONPATH=<tree>/src``
 and the same ``PYTHONHASHSEED``, so that text which iterates a set of
 strings comes out in the same order on both sides and a difference means the
 trees differ.
@@ -284,6 +287,17 @@ def hom_round_trip(fp, m, build, at):
     return {"dim": h.dimension, "roundtrip": h.extract(h.realize(x)) == x}
 
 
+def tail_bijectivity(fp, q, m):
+    """``eventual_tail_bijectivity`` of a Y build's class (the first
+    ray's, as ``checks.build_rep`` picks it), or the exception it raises."""
+    classes, _ = fp.enumerate_tail_classes(q)
+    cls = next(c for c in classes if c.ray == q.rays[0][0])
+    try:
+        return repr(fp.eventual_tail_bijectivity(m, cls))
+    except Exception as exc:  # a refusal is an output to compare
+        return f"{type(exc).__name__}: {exc}"
+
+
 def collect(tree, spec_path, out_path):
     """Child side: run every request on the fpquiver of ``tree``."""
     import fpquiver.cli  # noqa: F401  (the package does not import its CLI)
@@ -331,8 +345,14 @@ def collect(tree, spec_path, out_path):
                      "hom": hom_round_trip(fp, m, build, at)}
             dumps = [fp.dump_rep(m)]
             for name, sub in (("socle", soc), ("radical", rad)):
-                dumps += [f"quotient by the {name}\n",
+                dumps += [f"{name}\n", fp.dump_rep(sub.as_rep()),
+                          f"quotient by the {name}\n",
                           fp.dump_rep(fp.quotient(m, sub))]
+            first = [int(j == 0) for j in range(m.dim(at))]
+            facts["generated by the first basis vector"] = checks.ids(
+                fp.subrep_generated(m, {at: [first]}).dims_dict())
+            if build == "Y":
+                facts["tail bijectivity"] = tail_bijectivity(fp, q, m)
             dumps.append(json.dumps(facts, indent=0, sort_keys=True))
             out[label] = [0, "".join(dumps)]
         except Exception as exc:  # a failed build is an output to compare
