@@ -3,19 +3,17 @@
 Matrices are lists of rows of Fractions.  Every zero this module writes
 into a grid is one shared constant, ``_ZERO``; a Fraction is immutable and
 a grid is changed only by replacing its entries, so the sharing is safe.
-Every dense scan tests an entry for the shared zero by identity first, so
-it costs no Fraction code: products multiply only the other entries,
-equality and zero tests compare only those, and ``mat`` keeps entries that
-are already Fractions.
 Elimination is sparse exact Gauss-Jordan: each input row is scanned once
-and kept as a {column: Fraction} dict of its nonzero entries.  Only the
-entries other than the shared zero (nonzeros, and zeros computed or built
-elsewhere) are truth-tested there and, unless already Fractions,
-converted.  Arithmetic is then spent only on nonzeros, and a pivot row is
-divided by its pivot only when that pivot is not 1, so the 0/1 maps of
-path representations are eliminated without a division.  Ranks, kernels,
-solutions and reduced bases are read off the reduced row echelon form,
-which is unique, so they do not depend on the order of elimination.
+and kept as a {column: Fraction} dict of its nonzero entries.  The scan
+costs one identity test per stored entry: the shared zero is skipped
+there, and only the other entries (nonzeros, and zeros computed or built
+elsewhere) are truth-tested and, unless already Fractions, converted.
+Arithmetic is then spent only on nonzeros, and a pivot row is divided by
+its pivot only when that pivot is not 1, so the 0/1 maps of path
+representations are eliminated without a division.
+Ranks, kernels, solutions and reduced bases are read off the reduced row
+echelon form, which is unique, so they do not depend on the order of
+elimination.
 """
 
 from fractions import Fraction
@@ -24,10 +22,8 @@ _ZERO = Fraction(0)
 
 
 def mat(rows):
-    """Normalized copy with Fraction entries; entries that are already
-    Fractions, the shared zero among them, are kept."""
-    return [[x if type(x) is Fraction else Fraction(x) for x in row]
-            for row in rows]
+    """Normalized copy with Fraction entries."""
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def zeros(r, c):
@@ -53,30 +49,21 @@ def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
     bt = transpose(b)
-    return [[_dot(row, col) for col in bt] for row in a]
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [_dot(row, v) for row in a]
-
-
-def _dot(u, v):
-    """Sum of the products of entries that are not the shared zero; the
-    shared zero itself when there are none."""
-    return sum(
-        (x * y for x, y in zip(u, v) if x is not _ZERO and y is not _ZERO),
-        _ZERO,
-    )
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def mat_eq(a, b):
     return shape(a) == shape(b) and all(
-        x is y or x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
+        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb)
     )
 
 
 def is_zero(a):
-    return all(x is _ZERO or x == 0 for row in a for x in row)
+    return all(x == 0 for row in a for x in row)
 
 
 def _echelon(a):
