@@ -12,8 +12,8 @@ to its arrows: the tuples order the basis (as ``Path.sort_key`` does), index
 the rows and columns of the 0/1 arrow maps and spell the basis labels (as
 ``Path.describe`` does), so no arrow id is recomputed per path.  The maps
 stay dense ``Fraction`` grids, the layout the benchmark's tracer reads,
-and every zero in them is ``ratmat``'s one shared zero, which elimination
-and ``dump_rep`` skip by identity.
+and every zero in them is ``ratmat``'s one shared zero, which ``ratmat``'s
+row scans and ``dump_rep`` skip by identity.
 """
 
 from dataclasses import dataclass, field

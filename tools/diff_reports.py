@@ -66,7 +66,8 @@ against (``git worktree add``, or ``git archive`` unpacked elsewhere):
     python3 tools/diff_reports.py PARENT_DIR
 
 Prints each request whose stdout or exit code differs and exits 1 if any
-does, 0 otherwise.  A run takes about two minutes on two cores.
+does, 0 otherwise.  A run takes about six minutes on two cores, most of
+it in the sub-representations of the largest ``reps`` builds.
 """
 
 import contextlib
