@@ -1,6 +1,7 @@
 """Representation windows: builders, structure maps, hom spaces, tails."""
 
 import random
+from functools import partial
 from fractions import Fraction
 
 import pytest
@@ -611,3 +612,99 @@ def test_structure_does_not_depend_on_how_zeros_are_spelled(build):
     dim, back, comps = _hom_answers(build, m, at)
     assert dim > 0 and back == [k % 5 + 1 for k in range(dim)]
     assert _hom_answers(build, fresh, at) == (dim, back, comps)
+
+
+# --- arrow maps read through the constructor's dense grids ------------------
+
+
+STRUCTURE_INPUTS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ladder2nat",
+                    "ladder2int", "ladder3nat", "ladder3int")
+
+
+def _structure_builds(name):
+    """P and I at the small vertices and Y of every class of a fixture
+    (radius 3 and 4), or, on a shift-1 ladder of 2 or 3 rays at radius 8,
+    P at the bottom of the first ray, I at the top of the last and Y of the
+    first ray's class; infinite-dimensional builds are left out."""
+    if name.startswith("ex"):
+        q = load_quiver(name)
+        thunks = [partial(build, q, v, 3)
+                  for v in instantiate_window(q, 1).vertices
+                  for build in (build_P, build_I)]
+        thunks += [partial(build_Y, q, cls, 4)
+                   for cls in engine_for(q).tail_classes()[0]]
+    else:
+        rays, dom, n = int(name[6]), name[7:], 8
+        text, ids = load_gen().ladder_text(random.Random(0), rays, 1, dom,
+                                           name)
+        q = parse(text)
+        first = next(c for c in engine_for(q).tail_classes()[0]
+                     if c.ray == ids[0])
+        thunks = [partial(build_P, q, ray(ids[0], 0 if dom == "nat" else -n),
+                          n),
+                  partial(build_I, q, ray(ids[-1], n), n),
+                  partial(build_Y, q, first, n)]
+    out = []
+    for thunk in thunks:
+        try:
+            out.append(thunk())
+        except InfiniteDimensionAt:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("name", STRUCTURE_INPUTS)
+def test_a_rep_rebuilt_from_its_dense_maps_has_the_same_structure(name):
+    builds = _structure_builds(name)
+    assert builds
+    for m in builds:
+        again = RepWindow(m.window, m.dims, m.maps, m.basis_labels)
+        assert again == m
+        assert dump_rep(again) == dump_rep(m)
+        for find, brute in ((socle, oracle.brute_socle),
+                            (radical, oracle.brute_radical)):
+            sub, sub_again = find(m), find(again)
+            assert sub_again.bases == sub.bases
+            assert sub_again.boundary == sub.boundary
+            assert sub.dims_dict() == brute(m) == brute(again)
+
+
+def _reference_generated(m, seeds):
+    """The generated subrepresentation by full passes over every arrow
+    until no span grows."""
+    spans = {v: ratmat.span_basis([[Fraction(x) for x in u] for u in vecs])
+             for v, vecs in seeds.items()}
+    spans = {v: rows for v, rows in spans.items() if rows}
+    changed = True
+    while changed:
+        changed = False
+        for ar in m.window.arrows:
+            sb = spans.get(ar.source)
+            if not sb:
+                continue
+            imgs = [ratmat.mat_vec(m.matrix(ar), u) for u in sb]
+            old = spans.get(ar.target, [])
+            new = ratmat.span_basis(old + imgs)
+            if len(new) > len(old):
+                spans[ar.target] = new
+                changed = True
+    return {v: tuple(tuple(r) for r in rows) for v, rows in spans.items()}
+
+
+def test_generated_subrep_matches_the_full_passes():
+    checked = 0
+    for m in _fixture_builds():
+        support = m.support()
+        # each basis vector at the first and last support vertex, and the
+        # sum of the first two basis vectors at every support vertex
+        seeds = [{v: [[int(j == k) for j in range(m.dim(v))]]}
+                 for v in support[:1] + support[-1:]
+                 for k in range(m.dim(v))]
+        seeds.append({v: [[int(j < 2) for j in range(m.dim(v))]]
+                      for v in support})
+        for seed in seeds:
+            sub = subrep_generated(m, seed)
+            assert sub.bases == _reference_generated(m, seed)
+            assert sub.boundary == frozenset()
+            checked += 1
+    assert checked > 100
