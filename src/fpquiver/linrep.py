@@ -1,7 +1,7 @@
 """Finite-dimensional representation windows with exact arithmetic.
 
-A RepWindow stores the fibers and arrow matrices of a representation over
-one instantiated window.  The standard objects are built here: projectives
+A RepWindow stores the fibers and arrow maps of a representation over one
+instantiated window.  The standard objects are built here: projectives
 (fibers spanned by paths out of a vertex), injectives (dual paths into a
 vertex) and tail-class limits (stabilized path spaces into a far tail
 checkpoint).  All entries are Fractions, so the rank arguments behind the
@@ -10,19 +10,29 @@ surjectivity and bijectivity checks are exact.
 Each path basis is built once, each path carried as its arrow-id tuple next
 to its arrows: the tuples order the basis (as ``Path.sort_key`` does), index
 the rows and columns of the 0/1 arrow maps and spell the basis labels (as
-``Path.describe`` does), so no arrow id is recomputed per path.  The maps
-stay dense ``Fraction`` grids, the layout the benchmark's tracer reads,
-and every zero in them is ``ratmat``'s one shared zero, which ``ratmat``'s
-row scans and ``dump_rep`` skip by identity.
+``Path.describe`` does), so no arrow id is recomputed per path.  Each arrow
+map is stored once, as sparse rows (``RepWindow.rows``), which the builders
+write directly and which ``socle``, ``radical``, ``subrep_generated``,
+sub-representations, quotients and ``dump_rep`` read, eliminating through
+``ratmat``'s row-dict functions; so their cost follows the nonzeros.  The
+dense grids (``RepWindow.maps``, ``matrix``) are a view built on first
+read, for the hom spaces, the naturality check and the brute-force oracle.
 """
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from . import ratmat, regions
 from .patterns import InternalConsistencyError
 from .qdl import Path, VertexRef, describe_path, instantiate_window, ray
 from .regions import PreconditionError
+
+
+_ONE = Fraction(1)
+_ZERO = ratmat._ZERO
 
 
 class InfiniteDimensionAt(Exception):
@@ -33,37 +43,100 @@ class InfiniteDimensionAt(Exception):
         self.vertex = vertex
 
 
-@dataclass(frozen=True)
 class RepWindow:
-    """Fibers and arrow matrices over one window.
+    """Fibers and arrow maps over one window.
 
-    maps[arrow canonical id] has shape dim(target) x dim(source), a dense
-    list of rows whose zeros are ``ratmat``'s shared zero when this module
-    builds them (any zero is read correctly); fibers and maps missing from
-    the dicts are zero.
+    The map of each arrow, of shape dim(target) x dim(source), is stored
+    once, as rows: one {source basis index: entry} dict per target basis
+    vector (``rows``).  The builders here store only nonzero entries.  The
+    constructor takes dense grids, lists of rows, and stores every entry
+    but ``ratmat``'s shared zero; ``from_rows`` takes the rows.  ``maps``
+    and ``matrix`` give the dense meaning: ``maps`` is built on first read,
+    from the rows with the shared zero in every other cell, so it gives
+    back the grids the constructor was given.  Fibers and maps missing from
+    the dicts are zero.  Equality compares window, dims, dense maps and
+    basis labels.
     """
 
-    window: object
-    dims: dict
-    maps: dict
-    basis_labels: dict = field(default_factory=dict)
+    def __init__(self, window, dims, maps, basis_labels=None):
+        rows = {}
+        for aid, m in maps.items():
+            height, width = _map_shape(window, dims, aid)
+            if len(m) != height or any(len(r) != width for r in m):
+                raise ValueError(f"matrix for {aid} is not {height}x{width}")
+            rows[aid] = tuple(
+                {c: x for c, x in enumerate(r) if x is not _ZERO} for r in m
+            )
+        self._store(window, dims, rows, basis_labels)
 
-    def __post_init__(self):
-        for a in self.window.arrows:
-            m = self.maps.get(a.canonical_id())
-            if m is None:
-                continue
-            rows, cols = self.dim(a.target), self.dim(a.source)
-            if len(m) != rows or any(len(r) != cols for r in m):
-                raise ValueError(
-                    f"matrix for {a.canonical_id()} is not {rows}x{cols}"
-                )
-        for v, labels in self.basis_labels.items():
-            if len(labels) != len(set(labels)) or len(labels) != self.dim(v):
+    @classmethod
+    def from_rows(cls, window, dims, rows, basis_labels=None):
+        """The representation with these stored rows (see ``rows``)."""
+        for aid, m in rows.items():
+            height, width = _map_shape(window, dims, aid)
+            if len(m) != height or any(
+                not 0 <= c < width for r in m for c in r
+            ):
+                raise ValueError(f"matrix for {aid} is not {height}x{width}")
+        self = cls.__new__(cls)
+        self._store(window, dims, rows, basis_labels)
+        return self
+
+    def _store(self, window, dims, rows, basis_labels):
+        labels = {} if basis_labels is None else basis_labels
+        vars(self).update(
+            window=window, dims=dims, _rows=rows, basis_labels=labels)
+        for v, ls in labels.items():
+            if len(ls) != len(set(ls)) or len(ls) != self.dim(v):
                 raise ValueError(f"bad basis labels at {v.canonical_id()}")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def maps(self):
+        """Dense grids by arrow id, built on first read; writing to them
+        does not change the representation."""
+        out = {}
+        for aid, rows in self._rows.items():
+            width = self.dim(self.window.arrow_by_id(aid).source)
+            grid = out[aid] = []
+            for r in rows:
+                line = [_ZERO] * width
+                for c, x in r.items():
+                    line[c] = x
+                grid.append(line)
+        return MappingProxyType(out)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.window, self.dims, self.maps, self.basis_labels) == (
+            other.window, other.dims, other.maps, other.basis_labels)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"RepWindow(window={self.window!r}, dims={self.dims!r}, "
+                f"maps={dict(self.maps)!r}, "
+                f"basis_labels={self.basis_labels!r})")
 
     def dim(self, vref):
         return self.dims.get(vref, 0)
+
+    def rows(self, arrow):
+        """The stored rows of the map of ``arrow`` (an arrow or its id):
+        one {column: entry} dict per target basis vector.  They are the
+        representation's own: read them, never write to them."""
+        key = arrow if isinstance(arrow, str) else arrow.canonical_id()
+        m = self._rows.get(key)
+        if m is not None:
+            return m
+        a = self.window.arrow_by_id(key)
+        return tuple({} for _ in range(self.dim(a.target)))
 
     def matrix(self, arrow):
         key = arrow if isinstance(arrow, str) else arrow.canonical_id()
@@ -81,6 +154,15 @@ class RepWindow:
 
     def support(self):
         return [v for v in self.window.vertices if self.dim(v) > 0]
+
+
+def _map_shape(window, dims, aid):
+    """(dim(target), dim(source)) of the arrow ``aid`` of ``window``."""
+    try:
+        a = window.arrow_by_id(aid)
+    except KeyError:
+        raise ValueError(f"no arrow {aid} in Window({window.radius})") from None
+    return dims.get(a.target, 0), dims.get(a.source, 0)
 
 
 def zero_rep(window):
@@ -171,10 +253,6 @@ def _path_basis(window, a, reverse=False):
     return out
 
 
-_ONE = Fraction(1)
-_ZERO = ratmat._ZERO
-
-
 def build_P(q, a, n):
     """Projective at ``a`` on Window(n): fibers spanned by paths from a."""
     return _build_P_on(instantiate_window(q, n), a)
@@ -193,17 +271,17 @@ def _build_P_on(window, a):
     maps = {}
     for ar in window.arrows:
         aid = ar.canonical_id()
-        m = ratmat.zeros(dims.get(ar.target, 0), dims.get(ar.source, 0))
-        rows = index.get(ar.target)
+        rows = [{} for _ in range(dims.get(ar.target, 0))]
+        at = index.get(ar.target)
         for k, (ids, _) in enumerate(basis.get(ar.source, ())):
-            m[rows[ids + (aid,)]][k] = _ONE
-        maps[aid] = m
+            rows[at[ids + (aid,)]][k] = _ONE
+        maps[aid] = tuple(rows)
     src = a.canonical_id()
     labels = {
         v: tuple(describe_path(src, ids) for ids, _ in ps)
         for v, ps in basis.items()
     }
-    return RepWindow(window, dims, maps, labels)
+    return RepWindow.from_rows(window, dims, maps, labels)
 
 
 def build_I(q, a, n):
@@ -226,7 +304,7 @@ def _build_I_on(window, a):
         src = v.canonical_id()
         labels[v] = tuple(describe_path(src, ids) for ids in ts)
     maps = _precomposition_maps(window, bases)
-    return RepWindow(window, dims, maps, labels)
+    return RepWindow.from_rows(window, dims, maps, labels)
 
 
 def _precomposition_maps(window, bases):
@@ -235,20 +313,18 @@ def _precomposition_maps(window, bases):
 
     The basis functional t at the target pulls back from the functional
     at (ar then t) on the source side, when that path is in its basis.
-    The maps are dense ``Fraction`` grids with one 1 per matched path.
+    Each map is stored as rows, with one 1 per matched path.
     """
     index = {v: {t: k for k, t in enumerate(ts)} for v, ts in bases.items()}
     maps = {}
     for ar in window.arrows:
         aid = ar.canonical_id()
         src_index = index.get(ar.source, {})
-        tgt = bases.get(ar.target, ())
-        m = ratmat.zeros(len(tgt), len(src_index))
-        for k, t in enumerate(tgt):
+        rows = []
+        for t in bases.get(ar.target, ()):
             col = src_index.get((aid,) + t)
-            if col is not None:
-                m[k][col] = _ONE
-        maps[aid] = m
+            rows.append({} if col is None else {col: _ONE})
+        maps[aid] = tuple(rows)
     return maps
 
 
@@ -351,7 +427,7 @@ def build_Y(q, cls, n):
         )
         chosen[v] = [ids for _, ids in keyed]
     maps = _precomposition_maps(window, chosen)
-    return RepWindow(window, dims, maps, labels)
+    return RepWindow.from_rows(window, dims, maps, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +459,7 @@ class SubRepWindow:
             sb = self.bases.get(ar.source, ())
             tb = self.bases.get(ar.target, ())
             maps[ar.canonical_id()] = _coordinates(self.parent, ar, sb, tb)
-        return RepWindow(self.parent.window, self.dims_dict(), maps)
+        return RepWindow.from_rows(self.parent.window, self.dims_dict(), maps)
 
     def inclusion(self):
         comps = {
@@ -394,19 +470,32 @@ class SubRepWindow:
         return MorphismWindow(self.as_rep(), self.parent, comps)
 
 
-def _neighbors_inside(eng, v, window):
-    """Whether every one-step target of ``v`` under ``eng`` is in ``window``
-    (never, at a fan source: it has infinitely many)."""
-    if v in eng.fan_sources:
-        return False
-    # any other vertex's targets lie within max_shift of it or at a constant
-    # |c| <= c_max, both inside radius + nstar, so the engine graph that
-    # wide holds every arrow out of v
-    g = eng.graph(window.radius + eng.nstar)
-    return all(
-        g.level[ti] <= window.radius
-        for _, ti in g.out_adj[g.window.vertex_index(v)]
-    )
+def _truncated(eng, m):
+    """Support vertices of ``m`` with a one-step target under ``eng``
+    outside the window: every fan source (it has infinitely many), and any
+    vertex with an arrow out of the window in ``eng``'s window graph."""
+    radius = m.window.radius
+    flags, g = set(), None
+    for v in m.support():
+        if v in eng.fan_sources:
+            flags.add(v)
+            continue
+        if g is None:
+            # any other vertex's targets lie within max_shift of it or at a
+            # constant |c| <= c_max, both inside radius + nstar, so the
+            # engine graph that wide holds every arrow out of v
+            g = eng.graph(radius + eng.nstar)
+        if any(
+            g.level[ti] > radius
+            for _, ti in g.out_adj[g.window.vertex_index(v)]
+        ):
+            flags.add(v)
+    return frozenset(flags)
+
+
+def _image(rows, u):
+    """The image of the dense vector ``u`` under a map given by its rows."""
+    return [sum((x * u[c] for c, x in r.items()), _ZERO) for r in rows]
 
 
 def socle(m):
@@ -415,43 +504,48 @@ def socle(m):
     Vertices with out-arrows truncated by the window are flagged boundary.
     """
     eng = regions.engine_for(m.window.description)
-    bases, flags = {}, set()
+    bases = {}
     for v in m.window.vertices:
         d = m.dim(v)
         if d == 0:
             continue
-        if not _neighbors_inside(eng, v, m.window):
-            flags.add(v)
         stacked = []
         for ar in m.window.arrows_from(v):
-            stacked.extend(m.matrix(ar))
-        rows = ratmat.kernel_basis(stacked, cols=d)
+            stacked.extend(m.rows(ar))
+        rows = ratmat.kernel_rows(stacked, d)
         if rows:
             bases[v] = tuple(tuple(r) for r in rows)
-    return SubRepWindow(m, bases, frozenset(flags))
+    return SubRepWindow(m, bases, _truncated(eng, m))
 
 
 def radical(m):
     """Sum of the images of all incoming maps, per vertex (dual flags)."""
     eng = regions.engine_for(m.window.description).op()
-    bases, flags = {}, set()
+    bases = {}
     for v in m.window.vertices:
-        if m.dim(v) == 0:
+        d = m.dim(v)
+        if d == 0:
             continue
-        if not _neighbors_inside(eng, v, m.window):
-            flags.add(v)
+        # the columns of each map into v, as row dicts over v's basis
         cols = []
         for ar in m.window.arrows_into(v):
-            if m.dim(ar.source):
-                cols.extend(ratmat.transpose(m.matrix(ar)))
-        rows = ratmat.span_basis(cols)
+            by_col = {}
+            for i, r in enumerate(m.rows(ar)):
+                for j, x in r.items():
+                    by_col.setdefault(j, {})[i] = x
+            cols.extend(by_col.values())
+        rows = ratmat.span_rows(cols, d)
         if rows:
             bases[v] = tuple(tuple(r) for r in rows)
-    return SubRepWindow(m, bases, frozenset(flags))
+    return SubRepWindow(m, bases, _truncated(eng, m))
 
 
 def subrep_generated(m, seeds):
-    """Smallest subrepresentation containing the seed vectors."""
+    """Smallest subrepresentation containing the seed vectors.
+
+    A worklist of vertices whose span grew: the arrows out of a vertex are
+    read again only after its span grew, until no span grows.
+    """
     spans = {}
     for v, vecs in seeds.items():
         if not m.window.contains(v):
@@ -465,19 +559,17 @@ def subrep_generated(m, seeds):
         rows = ratmat.span_basis([[Fraction(x) for x in u] for u in vecs])
         if rows:
             spans[v] = rows
-    changed = True
-    while changed:
-        changed = False
-        for ar in m.window.arrows:
-            sb = spans.get(ar.source)
-            if not sb:
-                continue
-            imgs = [ratmat.mat_vec(m.matrix(ar), u) for u in sb]
+    queue = deque(spans)
+    while queue:
+        v = queue.popleft()
+        for ar in m.window.arrows_from(v):
+            imgs = [_image(m.rows(ar), u) for u in spans[v]]
             old = spans.get(ar.target, [])
             new = ratmat.span_basis(old + imgs)
             if len(new) > len(old):
                 spans[ar.target] = new
-                changed = True
+                if ar.target not in queue:
+                    queue.append(ar.target)
     bases = {v: tuple(tuple(r) for r in rows) for v, rows in spans.items()}
     return SubRepWindow(m, bases, frozenset())
 
@@ -506,23 +598,36 @@ def quotient(m, sub):
         maps[ar.canonical_id()] = _coordinates(
             m, ar, vectors, t_rows + t_comp, skip=len(t_rows)
         )
-    return RepWindow(m.window, dims, maps)
+    return RepWindow.from_rows(m.window, dims, maps)
 
 
 def _coordinates(m, ar, vectors, basis, skip=0):
-    """The matrix whose column j holds the coordinates of m(ar) vectors[j]
-    over the rows of ``basis`` after the first ``skip``; raises unless
-    each image lies in the span of ``basis``."""
-    cols = []
-    for u in vectors:
-        w = ratmat.mat_vec(m.matrix(ar), list(u))
-        coords = ratmat.coords_in_span([list(r) for r in basis], w)
-        if coords is None:
-            raise InternalConsistencyError(
-                f"subspace is not closed under {ar.canonical_id()}"
-            )
-        cols.append(coords)
-    return [[c[row] for c in cols] for row in range(skip, len(basis))]
+    """The map, as rows, whose column j holds the coordinates of m(ar)
+    vectors[j] over the rows of ``basis`` after the first ``skip``; raises
+    unless each image lies in the span of ``basis``.
+
+    One reduction of [basis^T | images] gives every column at once: the
+    system has a row per target coordinate, the basis vectors' entries
+    there in the first columns and the images' after them."""
+    k = len(basis)
+    if not vectors:
+        return tuple({} for _ in range(k - skip))
+    system = [{} for _ in range(m.dim(ar.target))]
+    for col, b in enumerate(basis):
+        for i, x in enumerate(b):
+            if x:
+                system[i][col] = x
+    rows = m.rows(ar)
+    for j, u in enumerate(vectors):
+        for i, x in enumerate(_image(rows, u)):
+            if x:
+                system[i][k + j] = x
+    coords = ratmat.solve_rows(system, k)
+    if coords is None:
+        raise InternalConsistencyError(
+            f"subspace is not closed under {ar.canonical_id()}"
+        )
+    return tuple(coords[skip:])
 
 
 def direct_sum(m1, m2):
@@ -536,23 +641,17 @@ def direct_sum(m1, m2):
             dims[v] = d
     maps = {}
     for ar in m1.window.arrows:
-        a, b = m1.matrix(ar), m2.matrix(ar)
-        ra, ca = len(a), m1.dim(ar.source)
-        rb, cb = len(b), m2.dim(ar.source)
-        m = ratmat.zeros(ra + rb, ca + cb)
-        for i in range(ra):
-            for j in range(ca):
-                m[i][j] = a[i][j]
-        for i in range(rb):
-            for j in range(cb):
-                m[ra + i][ca + j] = b[i][j]
-        maps[ar.canonical_id()] = m
+        shift = m1.dim(ar.source)
+        # m1's rows are shared, never written; m2's move right past m1's
+        maps[ar.canonical_id()] = tuple(m1.rows(ar)) + tuple(
+            {shift + j: x for j, x in r.items()} for r in m2.rows(ar)
+        )
     labels = {}
     for v in dims:
         labels[v] = tuple(
             [(0, l) for l in m1.labels(v)] + [(1, l) for l in m2.labels(v)]
         )
-    return RepWindow(m1.window, dims, maps, labels)
+    return RepWindow.from_rows(m1.window, dims, maps, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -729,9 +828,8 @@ def eventual_tail_bijectivity(i, cls):
             raise InternalConsistencyError(
                 f"tail arrow {aid} missing from the window"
             )
-        mat = i.matrix(aid)
         square = dims[pos] == dims[pos + 1]
-        bij.append(square and ratmat.rank(list(mat)) == dims[pos])
+        bij.append(square and ratmat.rank_rows(i.rows(aid)) == dims[pos])
     if dims[-1] == 0:
         if all(d == 0 for d in dims):
             return TailBijectivity(
@@ -795,16 +893,14 @@ def dump_rep(m):
     for v in m.window.vertices:
         lines.append(f"vertex {v.canonical_id()} dim {m.dim(v)}")
     for ar in m.window.arrows:
-        mat = m.matrix(ar)
-        rows = len(mat)
-        cols = len(mat[0]) if mat else m.dim(ar.source)
-        lines.append(f"arrow {ar.canonical_id()} {rows}x{cols}")
-        for row in mat:
-            # most entries of a path map are the shared zero: skip it by
-            # identity and format only the others
-            cells = ["0/1"] * len(row)
-            for j, c in enumerate(row):
-                if c is not _ZERO and c:
+        rows = m.rows(ar)
+        cols = m.dim(ar.source)
+        lines.append(f"arrow {ar.canonical_id()} {len(rows)}x{cols}")
+        for r in rows:
+            # only stored entries are formatted; every other cell is zero
+            cells = ["0/1"] * cols
+            for j, c in r.items():
+                if c:
                     cells[j] = f"{c.numerator}/{c.denominator}"
             lines.append(" ".join(cells))
     return "\n".join(lines) + "\n"

@@ -1,19 +1,26 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Every zero this module writes
-into a grid is one shared constant, ``_ZERO``; a Fraction is immutable and
-a grid is changed only by replacing its entries, so the sharing is safe.
-Elimination is sparse exact Gauss-Jordan: each input row is scanned once
-and kept as a {column: Fraction} dict of its nonzero entries.  The scan
-costs one identity test per stored entry: the shared zero is skipped
-there, and only the other entries (nonzeros, and zeros computed or built
-elsewhere) are truth-tested and, unless already Fractions, converted.
-Arithmetic is then spent only on nonzeros, and a pivot row is divided by
-its pivot only when that pivot is not 1, so the 0/1 maps of path
-representations are eliminated without a division.
-Ranks, kernels, solutions and reduced bases are read off the reduced row
-echelon form, which is unique, so they do not depend on the order of
-elimination.
+Dense matrices are lists of rows of Fractions.  Every zero this module
+writes into a dense grid is one shared constant, ``_ZERO``; a Fraction is
+immutable and a grid is changed only by replacing its entries, so the
+sharing is safe.
+
+Elimination is sparse exact Gauss-Jordan on rows held as {column:
+Fraction} dicts of their nonzero entries, and it has one core
+(``_echelon``/``_reduce``) with two ways in.  The dense functions
+(``rank``, ``rref``, ``kernel_basis``, ``solve``, ``span_basis``,
+``complement_basis``) convert each input row once: the shared zero is
+skipped by identity, and only the other entries (nonzeros, and zeros
+computed or built elsewhere) are truth-tested and, unless already
+Fractions, converted.  The ``*_rows`` functions take row dicts, the form
+in which ``linrep`` stores its arrow maps, and copy each one without its
+zero entries, so a row costs its stored entries and never the width of the
+matrix; the caller's rows are never changed.  Arithmetic is then spent only
+on nonzeros, and a pivot row is divided by its pivot only when that pivot
+is not 1, so the 0/1 maps of path representations are eliminated without a
+division.  Ranks, kernels, solutions and reduced bases are read off the
+reduced row echelon form, which is unique, so they do not depend on the
+order of elimination or on which way the rows came in.
 """
 
 from fractions import Fraction
@@ -66,20 +73,33 @@ def is_zero(a):
     return all(x == 0 for row in a for x in row)
 
 
-def _echelon(a):
+def _from_dense(a):
+    """Each dense row as a fresh {col: Fraction} dict of its nonzeros."""
+    for row in a:
+        # the shared zero is skipped by identity, before any Fraction code
+        yield {c: x if type(x) is Fraction else Fraction(x)
+               for c, x in enumerate(row) if x is not _ZERO and x}
+
+
+def _from_rows(rows):
+    """Each row dict copied without its zero entries, values Fractions."""
+    for r in rows:
+        yield {c: x if type(x) is Fraction else Fraction(x)
+               for c, x in r.items() if x}
+
+
+def _echelon(rows):
     """Sparse forward elimination: {pivot column: row} for the row space.
 
-    Each row is a {col: Fraction} dict holding only nonzero entries, with
-    a 1 at its pivot, the least column it holds.  A new row is reduced by
+    ``rows`` yields {col: Fraction} dicts of nonzero entries that this
+    call owns (``_from_dense`` or ``_from_rows``).  Each pivot row has a 1
+    at its pivot, the least column it holds.  A new row is reduced by
     clearing its least pivot column until none is left; a pivot row holds
     no column left of its pivot, so each subtraction only adds columns to
     the right of the one it clears.
     """
     piv = {}
-    for row in a:
-        # the shared zero is skipped by identity, before any Fraction code
-        r = {c: x if type(x) is Fraction else Fraction(x)
-             for c, x in enumerate(row) if x is not _ZERO and x}
+    for r in rows:
         while True:
             c = min((c for c in r if c in piv), default=None)
             if c is None:
@@ -88,18 +108,18 @@ def _echelon(a):
         if r:
             p = min(r)
             inv = r[p]
-            # r is this loop's own dict, so a unit pivot row is kept as is
+            # r is owned here, so a unit pivot row is kept as is
             piv[p] = r if inv == 1 else {c: x / inv for c, x in r.items()}
     return piv
 
 
-def _reduce(a):
-    """The nonzero rows of rref(a) as (pivot column, row dict) pairs.
+def _reduce(rows):
+    """The nonzero rows of rref as (pivot column, row dict) pairs.
 
     Back-substitution runs once, from the rightmost pivot leftwards, so
     every row it subtracts is already reduced and adds no pivot column.
     """
-    piv = _echelon(a)
+    piv = _echelon(rows)
     order = sorted(piv)
     for p in reversed(order):
         r = piv[p]
@@ -128,23 +148,9 @@ def _dense(rows, cols):
     return out
 
 
-def rank(a):
-    return len(_echelon(a))
-
-
-def rref(a):
-    """Reduced row echelon form over Fractions: (rows, pivot columns)."""
-    rows = _reduce(a)
-    return _dense(rows, len(a[0]) if a else 0), [p for p, _ in rows]
-
-
-def kernel_basis(a, cols=None):
-    """Basis of {x : a x = 0} as length-``cols`` vectors."""
-    if cols is None:
-        cols = len(a[0]) if a else 0
-    if not a or cols == 0:
-        return identity(cols)
-    rows = _reduce(a)
+def _kernel(rows, cols):
+    """Basis of the kernel from the (pivot, row) pairs of an rref, as
+    length-``cols`` vectors, one per free column."""
     pivots = {p for p, _ in rows}
     out = {}
     for fc in range(cols):
@@ -159,24 +165,77 @@ def kernel_basis(a, cols=None):
     return list(out.values())
 
 
+def _solve(rows, cols):
+    """One solution X of A X = B, from owned row dicts of [A | B] with A in
+    the columns below ``cols``: one dict {j: entry} of nonzeros per unknown,
+    free unknowns 0; None unless every column of B is in A's column space.
+
+    A reduced row whose pivot lies in B is a combination of the equations
+    that reads 0 = 1 in that column of B; otherwise every pivot is an
+    unknown, and rref's uniqueness makes column j of the answer the
+    solution of A x = B[:, j] alone."""
+    x = [{} for _ in range(cols)]
+    for p, r in _reduce(rows):
+        if p >= cols:
+            return None
+        x[p] = {c - cols: v for c, v in r.items() if c >= cols}
+    return x
+
+
+def rank(a):
+    return len(_echelon(_from_dense(a)))
+
+
+def rank_rows(rows):
+    """Rank of the matrix with these row dicts."""
+    return len(_echelon(_from_rows(rows)))
+
+
+def rref(a):
+    """Reduced row echelon form over Fractions: (rows, pivot columns)."""
+    rows = _reduce(_from_dense(a))
+    return _dense(rows, len(a[0]) if a else 0), [p for p, _ in rows]
+
+
+def kernel_basis(a, cols=None):
+    """Basis of {x : a x = 0} as length-``cols`` vectors."""
+    if cols is None:
+        cols = len(a[0]) if a else 0
+    return _kernel(_reduce(_from_dense(a)), cols)
+
+
+def kernel_rows(rows, cols):
+    """``kernel_basis`` of the ``cols``-column matrix with these row dicts."""
+    return _kernel(_reduce(_from_rows(rows)), cols)
+
+
 def solve(a, b):
     """One solution of a x = b, or None."""
     if len(a) != len(b):
         raise ValueError("shape mismatch in linear system")
     cols = len(a[0]) if a else 0
-    x = [_ZERO] * cols
-    for p, r in _reduce([list(row) + [bb] for row, bb in zip(a, b)]):
-        if p == cols:
-            return None
-        x[p] = r.get(cols, _ZERO)
-    return x
+    x = _solve(_from_dense(list(row) + [bb] for row, bb in zip(a, b)), cols)
+    return None if x is None else [r.get(0, _ZERO) for r in x]
+
+
+def solve_rows(rows, cols):
+    """One solution X of A X = B given the row dicts of [A | B], A in the
+    columns below ``cols``: X as one {j: entry} dict of nonzeros per
+    unknown (free unknowns 0), or None if some column of B is not in the
+    column space of A."""
+    return _solve(_from_rows(rows), cols)
 
 
 def span_basis(vectors):
     """Reduced basis of the span of the given row vectors."""
     if not vectors:
         return []
-    return _dense(_reduce(vectors), len(vectors[0]))
+    return _dense(_reduce(_from_dense(vectors)), len(vectors[0]))
+
+
+def span_rows(rows, cols):
+    """``span_basis`` of length-``cols`` vectors given as row dicts."""
+    return _dense(_reduce(_from_rows(rows)), cols)
 
 
 def in_span(vectors, v):
@@ -215,7 +274,7 @@ def complement_basis(u, n):
     before it, i.e. unless c is the last nonzero column of some vector of
     span(u); those columns are the pivots of u with its columns reversed.
     """
-    last = {n - 1 - p for p in _echelon([row[::-1] for row in u])}
+    last = {n - 1 - p for p in _echelon(_from_dense(row[::-1] for row in u))}
     return [
         [Fraction(1) if i == c else _ZERO for i in range(n)]
         for c in range(n)

@@ -550,13 +550,28 @@ class RegionEngine:
     # --- infinite paths -----------------------------------------------------------
 
     def has_right_infinite_path(self, vref):
-        """Does the reach of ``vref`` meet a pump set or a descent ray?"""
+        """Does the reach of ``vref`` meet a pump set or a descent ray?
+
+        The window reach answers it, with no tail fit.  It lies in the
+        reach, and the fitted reach adds to it only tails, each on a ray
+        where the window reach has data, so a descent ray or a whole-ray
+        pump set is met by both or by neither.  A pump set {i >= t} has
+        t <= rho (``pump_tails``), and an up tail meets it only on a
+        flagged ray: then the window reach holds a pump, or a fan source
+        whose arrows fill the fan's ray up to the window edge, and the
+        template paths on from there, which drop less than ``bound``,
+        hold indices above rho on every flagged ray."""
         self.ensure_acyclic()
-        reach = self._succ_support([vref], self._query_radius(vref))
-        return any(
-            not reach.ray_part(name).intersect(tail).is_empty
-            for name, tail in self.pump_tails.items()
-        ) or any(not reach.ray_part(name).is_empty for name in self.descent_rays)
+        radius = self._query_radius(vref)
+        g = self.graph(radius)
+        tails = self.pump_tails
+        for vi in compress(range(len(g.level)), _reached(g, [vref], radius)):
+            name = g.rays_at[vi]
+            if name in self.descent_rays or (
+                name in tails and tails[name].contains(g.index_at[vi])
+            ):
+                return True
+        return False
 
     def has_left_infinite_path(self, vref):
         return self.op().has_right_infinite_path(vref)

@@ -708,3 +708,44 @@ def test_generated_subrep_matches_the_full_passes():
             assert sub.boundary == frozenset()
             checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("name", STRUCTURE_INPUTS)
+def test_structure_reads_the_stored_rows(name):
+    # building, the socle, the radical and the dump never build the dense
+    # view of the maps
+    builds = _structure_builds(name)
+    assert builds
+    for m in builds:
+        socle(m), radical(m), dump_rep(m)
+        assert "maps" not in vars(m)
+
+
+def test_rep_window_rejects_a_row_outside_the_source_fiber(ex1):
+    w = instantiate_window(ex1, 2)
+    dims = {ray("a", 0): 1, ray("a", 1): 2}
+    m = RepWindow.from_rows(w, dims, {"alpha@0": ({0: Fraction(1)}, {})})
+    assert m.matrix("alpha@0") == [[1], [0]]
+    assert m == RepWindow(w, dims, {"alpha@0": [[1], [0]]})
+    for rows in (({1: Fraction(1)}, {}), ({0: Fraction(1)}, {-1: 1}),
+                 ({0: Fraction(1)},)):
+        with pytest.raises(ValueError, match="alpha@0 is not 2x1"):
+            RepWindow.from_rows(w, dims, {"alpha@0": rows})
+    for make in (RepWindow, RepWindow.from_rows):
+        with pytest.raises(ValueError, match="no arrow alpha@5"):
+            make(w, dims, {"alpha@5": ()})
+
+
+def test_the_dense_view_gives_back_the_constructor_grids(ex1):
+    w = instantiate_window(ex1, 2)
+    dims = {ray("a", 0): 2, ray("a", 1): 2, ray("a", 2): 1}
+    zero = Fraction(0)
+    grid = [[ratmat._ZERO, 1], [zero, Fraction(1, 2)]]
+    m = RepWindow(w, dims, {"alpha@0": grid})
+    assert "maps" not in vars(m)
+    assert m.rows("alpha@0") == ({1: 1}, {0: zero, 1: Fraction(1, 2)})
+    view = m.maps["alpha@0"]
+    assert view == grid and all(
+        x is y for row, given in zip(view, grid) for x, y in zip(row, given))
+    # a map missing from the dict is zero
+    assert m.rows("alpha@1") == ({},) and m.matrix("alpha@1") == [[0, 0]]

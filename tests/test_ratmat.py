@@ -238,3 +238,33 @@ def test_unit_pivot_rows_keep_their_entries():
     # the undivided unit-pivot row hands the input's Fraction through
     assert rows[1][2] is half
     assert a == [[0, 1, half], [2, 0, 0]]
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_row_dict_functions_match_the_dense_ones(seed):
+    rng = random.Random(seed)
+    a = _random_matrix(rng)
+    rows, cols = len(a), len(a[0])
+    # row dicts holding every entry but the shared zero: other zeros stay
+    dicts = [{c: x for c, x in enumerate(row) if x is not rm._ZERO}
+             for row in a]
+    copies = [dict(r) for r in dicts]
+    assert rm.rank_rows(dicts) == rm.rank(a)
+    assert rm.kernel_rows(dicts, cols) == rm.kernel_basis(a)
+    assert rm.span_rows(dicts, cols) == rm.span_basis(a)
+    assert _all_fractions(rm.kernel_rows(dicts, cols))
+    # several right-hand sides at once give each one's solve
+    bs = [rm.mat_vec(a, [rng.choice(_ENTRIES)() for _ in range(cols)]),
+          [rng.choice(_ENTRIES)() for _ in range(rows)],
+          [rm._ZERO] * rows]
+    system = [{**r, **{cols + j: b[i] for j, b in enumerate(bs)}}
+              for i, r in enumerate(dicts)]
+    x = rm.solve_rows(system, cols)
+    each = [rm.solve(a, b) for b in bs]
+    if any(s is None for s in each):
+        assert x is None
+    else:
+        assert len(x) == cols
+        assert [[r.get(j, 0) for r in x] for j in range(len(bs))] == each
+        assert all(type(v) is Fraction and v for r in x for v in r.values())
+    assert dicts == copies
