@@ -31,10 +31,6 @@ from .qdl import Path, VertexRef, describe_path, instantiate_window, ray
 from .regions import PreconditionError
 
 
-_ONE = Fraction(1)
-_ZERO = ratmat._ZERO
-
-
 class InfiniteDimensionAt(Exception):
     """A requested fiber is infinite dimensional; carries the vertex."""
 
@@ -251,6 +247,10 @@ def _path_basis(window, a, reverse=False):
     for ps in out.values():
         ps.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return out
+
+
+_ONE = Fraction(1)
+_ZERO = ratmat._ZERO
 
 
 def build_P(q, a, n):
