@@ -82,10 +82,12 @@ def _from_dense(a):
 
 
 def _from_rows(rows):
-    """Each row dict copied without its zero entries, values Fractions."""
+    """Each nonempty row dict copied without its zero entries, values
+    Fractions."""
     for r in rows:
-        yield {c: x if type(x) is Fraction else Fraction(x)
-               for c, x in r.items() if x}
+        if r:
+            yield {c: x if type(x) is Fraction else Fraction(x)
+                   for c, x in r.items() if x}
 
 
 def _echelon(rows):
@@ -100,7 +102,7 @@ def _echelon(rows):
     """
     piv = {}
     for r in rows:
-        while True:
+        while r:
             c = min((c for c in r if c in piv), default=None)
             if c is None:
                 break
