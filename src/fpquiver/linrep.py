@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 from . import ratmat, regions
 from .patterns import InternalConsistencyError
-from .qdl import Path, VertexRef, describe_path, instantiate_window, ray
+from .qdl import VertexRef, describe_path, instantiate_window, ray
 from .regions import PreconditionError
 
 
@@ -78,6 +78,16 @@ class RepWindow:
         self._store(window, dims, rows, basis_labels)
         return self
 
+    @classmethod
+    def _built(cls, window, dims, rows, spell_labels):
+        """A builder's representation: its rows are in range by
+        construction and not checked again, and its basis labels are
+        ``spell_labels()``, called on first read."""
+        self = cls.__new__(cls)
+        vars(self).update(
+            window=window, dims=dims, _rows=rows, _spell_labels=spell_labels)
+        return self
+
     def _store(self, window, dims, rows, basis_labels):
         labels = {} if basis_labels is None else basis_labels
         vars(self).update(
@@ -91,6 +101,12 @@ class RepWindow:
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def basis_labels(self):
+        """Basis labels by vertex, spelled on first read for the builders'
+        representations (the others store theirs)."""
+        return self._spell_labels()
 
     @cached_property
     def maps(self):
@@ -184,23 +200,26 @@ class MorphismWindow:
     components: dict
 
     def __post_init__(self):
+        """Check f(target) M(a) = N(a) f(source) for every arrow a, with
+        the maps of M = source and N = target read as their stored rows;
+        both sides are compared as rows of their nonzero entries."""
         if self.source.window is not self.target.window and (
             self.source.window != self.target.window
         ):
             raise ValueError("morphism endpoints live on different windows")
         for a in self.source.window.arrows:
-            left = ratmat.mat_mul(
-                self.component(a.target), self.source.matrix(a)
-            )
-            right = ratmat.mat_mul(
-                self.target.matrix(a), self.component(a.source)
-            )
-            if not ratmat.mat_eq(left, right):
-                # composites through a zero-dimensional vertex come back
-                # with degenerate shapes; both are the zero map then
-                if not (ratmat.is_zero(left) and ratmat.is_zero(right)):
-                    raise ValueError(
-                        f"naturality fails at {a.canonical_id()}")
+            comp_t, comp_s = self.component(a.target), self.component(a.source)
+            m_rows, n_rows = self.source.rows(a), self.target.rows(a)
+            if (comp_t and m_rows and len(comp_t[0]) != len(m_rows)) or (
+                n_rows and comp_s and self.target.dim(a.source) != len(comp_s)
+            ):
+                raise ValueError("shape mismatch in matrix product")
+            # row i of f(t) M(a) combines the rows of M(a) by f(t)'s row i;
+            # row i of N(a) f(s) combines the rows of f(s) by N(a)'s row i
+            left = [_combine(enumerate(line), m_rows) for line in comp_t]
+            right = [_combine(r.items(), comp_s) for r in n_rows]
+            if left != right and (any(left) or any(right)):
+                raise ValueError(f"naturality fails at {a.canonical_id()}")
 
     def component(self, vref):
         m = self.components.get(vref)
@@ -215,41 +234,73 @@ class MorphismWindow:
 
 def _path_basis(window, a, reverse=False):
     """All window paths out of ``a`` (or into it, if reverse), grouped by
-    the other endpoint, as (arrow ids, arrows) pairs in path order.
+    the other endpoint, as arrow-id tuples in path order, and the links
+    between them: (arrow id, index, index of the path it extends) for
+    every nontrivial path, which extends a path one shorter by that arrow
+    (appended, or prepended if reverse), both indices at their own
+    vertices.
 
-    The search reads each arrow's canonical id once, into one step list per
-    vertex, and carries the id tuple next to the arrows.  A vertex's paths
-    are sorted by (length, ids), the order of ``Path.sort_key``; they share
-    both endpoints, so the ids name one.  No ``Path`` is built here.
+    The search runs by length, reading each arrow's canonical id once,
+    into one step list per vertex.  Each length's paths at a vertex are
+    sorted by ids and follow the shorter ones: the order of
+    ``Path.sort_key``, (length, ids).  Paths sharing both endpoints are
+    named by their ids.  No ``Path`` is built here.
     """
     adj = window.arrows_into if reverse else window.arrows_from
     steps = {}
-    out = {a: [((), ())]}
-    stack = [(a, (), ())]
+    basis = {a: [()]}
+    links = []
+    # the paths of the current length by end vertex: (first index, paths)
+    level = {a: (0, [()])}
     limit = window.layout.size
-    while stack:
-        v, ids, arrows = stack.pop()
-        vsteps = steps.get(v)
-        if vsteps is None:
-            vsteps = steps[v] = [
-                (ar, ar.source if reverse else ar.target, ar.canonical_id())
-                for ar in adj(v)
-            ]
-        if vsteps and len(ids) >= limit:
-            raise PreconditionError("window graph is not acyclic")
-        for ar, w, aid in vsteps:
-            if reverse:
-                path = ((aid,) + ids, (ar,) + arrows)
-            else:
-                path = (ids + (aid,), arrows + (ar,))
-            out.setdefault(w, []).append(path)
-            stack.append((w,) + path)
-    for ps in out.values():
-        ps.sort(key=lambda entry: (len(entry[0]), entry[0]))
-    return out
+    for length in range(limit + 1):
+        grown = {}
+        for v, (first, ps) in level.items():
+            vsteps = steps.get(v)
+            if vsteps is None:
+                vsteps = steps[v] = [
+                    (ar.source if reverse else ar.target, ar.canonical_id())
+                    for ar in adj(v)
+                ]
+            if vsteps and length >= limit:
+                raise PreconditionError("window graph is not acyclic")
+            for w, aid in vsteps:
+                out = grown.setdefault(w, [])
+                for k, p in enumerate(ps, first):
+                    out.append(((aid,) + p if reverse else p + (aid,), aid, k))
+        if not grown:
+            break
+        level = {}
+        for w, out in grown.items():
+            # ids are unique at w, so the sort never compares past them
+            out.sort()
+            ps = basis.setdefault(w, [])
+            first = len(ps)
+            links.extend(
+                (aid, i, k) for i, (_, aid, k) in enumerate(out, first))
+            new = [p for p, _, _ in out]
+            ps.extend(new)
+            level[w] = (first, new)
+    return basis, links
 
 
-_ONE = Fraction(1)
+def _link_maps(window, dims, links, reverse):
+    """The 0/1 arrow maps, as rows, of the paths' links (``_path_basis``):
+    a path's link sends the path it extends to it, or, if reverse (the
+    functionals dual to paths into a vertex), it back to that path."""
+    maps = {}
+    for ar in window.arrows:
+        maps[ar.canonical_id()] = tuple(
+            {} for _ in range(dims.get(ar.target, 0)))
+    for aid, i, k in links:
+        if reverse:
+            maps[aid][k][i] = _ONE
+        else:
+            maps[aid][i][k] = _ONE
+    return maps
+
+
+_ONE = ratmat._ONE
 _ZERO = ratmat._ZERO
 
 
@@ -263,25 +314,14 @@ def _build_P_on(window, a):
         raise PreconditionError(
             f"{a.canonical_id()} is outside Window({window.radius})"
         )
-    basis = _path_basis(window, a)
+    basis, links = _path_basis(window, a)
     dims = {v: len(ps) for v, ps in basis.items()}
-    index = {
-        v: {ids: k for k, (ids, _) in enumerate(ps)} for v, ps in basis.items()
-    }
-    maps = {}
-    for ar in window.arrows:
-        aid = ar.canonical_id()
-        rows = [{} for _ in range(dims.get(ar.target, 0))]
-        at = index.get(ar.target)
-        for k, (ids, _) in enumerate(basis.get(ar.source, ())):
-            rows[at[ids + (aid,)]][k] = _ONE
-        maps[aid] = tuple(rows)
+    maps = _link_maps(window, dims, links, reverse=False)
     src = a.canonical_id()
-    labels = {
-        v: tuple(describe_path(src, ids) for ids, _ in ps)
+    return RepWindow._built(window, dims, maps, lambda: {
+        v: tuple(describe_path(src, ids) for ids in ps)
         for v, ps in basis.items()
-    }
-    return RepWindow.from_rows(window, dims, maps, labels)
+    })
 
 
 def build_I(q, a, n):
@@ -294,17 +334,13 @@ def _build_I_on(window, a):
         raise PreconditionError(
             f"{a.canonical_id()} is outside Window({window.radius})"
         )
-    bases = {
-        v: [ids for ids, _ in ps]
-        for v, ps in _path_basis(window, a, reverse=True).items()
-    }
+    bases, links = _path_basis(window, a, reverse=True)
     dims = {v: len(ts) for v, ts in bases.items()}
-    labels = {}
-    for v, ts in bases.items():
-        src = v.canonical_id()
-        labels[v] = tuple(describe_path(src, ids) for ids in ts)
-    maps = _precomposition_maps(window, bases)
-    return RepWindow.from_rows(window, dims, maps, labels)
+    maps = _link_maps(window, dims, links, reverse=True)
+    return RepWindow._built(window, dims, maps, lambda: {
+        v: tuple(describe_path(v.canonical_id(), ids) for ids in ts)
+        for v, ts in bases.items()
+    })
 
 
 def _precomposition_maps(window, bases):
@@ -352,12 +388,15 @@ def build_Y(q, cls, n):
     j2 = start_i + dirn * cls.stride * loops2
     t1, t2 = ray(cls.ray, j1), ray(cls.ray, j2)
     big = abs(j2) + eng.base_radius
-    # the widest count first, so the engine's graph is built once
-    check = eng._count_into(big + eng.margin, t1)
-    counts1 = eng._count_into(big, t1)
-    counts2 = eng._count_into(big, t2)
-    for v in window.vertices:
-        c1, c2 = counts1.get(v, 0), counts2.get(v, 0)
+    # path counts by position in the engine's graph, built once, at the
+    # widest radius; a count at a smaller radius ignores the rest of it
+    g = eng.graph(big + eng.margin)
+    check = regions._ways(g, big + eng.margin, t1)
+    ways1 = regions._ways(g, big, t1)
+    ways2 = regions._ways(g, big, t2)
+    at_pos = {v: g.window.vertex_index(v) for v in window.vertices}
+    for v, vi in at_pos.items():
+        c1, c2 = ways1[vi], ways2[vi]
         if c2 > c1:
             raise InfiniteDimensionAt(v)
         if c2 < c1:
@@ -365,7 +404,7 @@ def build_Y(q, cls, n):
                 f"path count into the tail dropped at {v.canonical_id()}: "
                 f"{c1} at {t1.canonical_id()} vs {c2} at {t2.canonical_id()}"
             )
-        if check.get(v, 0) != c1:
+        if check[vi] != c1:
             raise InternalConsistencyError(
                 f"tail path count at {v.canonical_id()} changed when the "
                 "window grew; the enumeration radius is not saturated"
@@ -379,28 +418,28 @@ def build_Y(q, cls, n):
         label, i, _ = eng.orbit_step(cls, at, k)
         orbit_ids.append(f"{label}@{i}")
     m_steps = len(orbit_ids)
-    g = eng.graph(big)
-    # (next vertex, arrow id) of each step that stays inside the reach
+    end = g.window.vertex_index(t1)
+    # (next position, arrow id) of each step that stays inside the reach
     steps = {}
-    dims, labels, chosen = {}, {}, {}
-    for v in window.vertices:
-        want = counts1.get(v, 0)
+    dims, entries, chosen = {}, {}, {}
+    for v, vi in at_pos.items():
+        want = ways1[vi]
         if not want:
             continue
         found = []
-        stack = [(v, ())]
+        stack = [(vi, ())]
         while stack:
             at, ids = stack.pop()
-            if at == t1:
+            if at == end:
                 found.append(ids)
                 continue
             at_steps = steps.get(at)
             if at_steps is None:
-                at_steps = steps[at] = []
-                for k, ti in g.out_adj[g.window.vertex_index(at)]:
-                    w = regions._vertex_at(g, ti)
-                    if w == t1 or w in counts1:
-                        at_steps.append((w, g.window.arrow(k).canonical_id()))
+                at_steps = steps[at] = [
+                    (ti, g.window.arrow(k).canonical_id())
+                    for k, ti in g.out_adj[at]
+                    if ways1[ti]
+                ]
             for w, aid in at_steps:
                 stack.append((w, ids + (aid,)))
         if len(found) != want:
@@ -419,45 +458,103 @@ def build_Y(q, cls, n):
             prefix = ids[: len(ids) - s]
             keyed.append(((m_steps - s, (len(prefix), prefix)), ids))
         keyed.sort(key=lambda t: t[0])
-        src = v.canonical_id()
         dims[v] = want
-        labels[v] = tuple(
-            (entry, describe_path(src, prefix))
-            for (entry, (_, prefix)), _ in keyed
-        )
+        entries[v] = [(entry, prefix) for (entry, (_, prefix)), _ in keyed]
         chosen[v] = [ids for _, ids in keyed]
     maps = _precomposition_maps(window, chosen)
-    return RepWindow.from_rows(window, dims, maps, labels)
+    return RepWindow._built(window, dims, maps, lambda: {
+        v: tuple((entry, describe_path(v.canonical_id(), prefix))
+                 for entry, prefix in es)
+        for v, es in entries.items()
+    })
 
 
 # ---------------------------------------------------------------------------
 # socle, radical, subrepresentations, quotients
 
 
-@dataclass(frozen=True)
 class SubRepWindow:
     """A subrepresentation given by per-vertex spanning rows inside a parent.
 
     ``boundary`` flags vertices whose defining arrows were truncated by the
     window; their fibers are computed from what is visible but should be
     excluded from assertions.
+
+    The constructor takes ``bases``, dense spanning vectors by vertex.
+    ``socle`` and ``radical`` store theirs as row dicts of nonzeros
+    instead, and ``bases`` is then a view built on first read, each vector
+    a tuple with the shared zero in every other cell; either form is built
+    from the other when first needed.  Frozen; equality compares parent,
+    bases and boundary.
     """
 
-    parent: RepWindow
-    bases: dict
-    boundary: frozenset = frozenset()
+    def __init__(self, parent, bases, boundary=frozenset()):
+        vars(self).update(parent=parent, bases=bases, boundary=boundary)
+
+    @classmethod
+    def _of_rows(cls, parent, rows, boundary):
+        """The subrepresentation spanned at each vertex by these row dicts."""
+        self = cls.__new__(cls)
+        vars(self).update(parent=parent, _rows=rows, boundary=boundary)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def bases(self):
+        out = {}
+        for v, rows in self._rows.items():
+            d = self.parent.dim(v)
+            vecs = []
+            for r in rows:
+                vec = [_ZERO] * d
+                for c, x in r.items():
+                    vec[c] = x
+                vecs.append(tuple(vec))
+            out[v] = tuple(vecs)
+        return out
+
+    @cached_property
+    def _rows(self):
+        return {
+            v: tuple({c: x for c, x in enumerate(b) if x} for b in vecs)
+            for v, vecs in self.bases.items()
+        }
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.bases, self.boundary) == (
+            other.parent, other.bases, other.boundary)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"SubRepWindow(parent={self.parent!r}, "
+                f"bases={self.bases!r}, boundary={self.boundary!r})")
+
+    def _spans(self):
+        """Whichever form is stored, by vertex; both have the same
+        lengths."""
+        state = vars(self)
+        return state["bases"] if "bases" in state else state["_rows"]
 
     def dim(self, vref):
-        return len(self.bases.get(vref, ()))
+        return len(self._spans().get(vref, ()))
 
     def dims_dict(self):
-        return {v: len(b) for v, b in self.bases.items() if b}
+        return {v: len(b) for v, b in self._spans().items() if b}
 
     def as_rep(self):
         maps = {}
+        rows = self._rows
         for ar in self.parent.window.arrows:
-            sb = self.bases.get(ar.source, ())
-            tb = self.bases.get(ar.target, ())
+            sb = rows.get(ar.source, ())
+            tb = rows.get(ar.target, ())
             maps[ar.canonical_id()] = _coordinates(self.parent, ar, sb, tb)
         return RepWindow.from_rows(self.parent.window, self.dims_dict(), maps)
 
@@ -493,6 +590,19 @@ def _truncated(eng, m):
     return frozenset(flags)
 
 
+def _combine(coeffs, rows):
+    """{column: entry} of the nonzeros of sum c * rows[k] over the (k, c)
+    pairs of ``coeffs``; each row is a dict or a dense list."""
+    acc = {}
+    for k, c in coeffs:
+        if c is _ZERO or not c:
+            continue
+        row = rows[k]
+        for j, y in row.items() if isinstance(row, dict) else enumerate(row):
+            acc[j] = acc.get(j, _ZERO) + c * y
+    return {j: x for j, x in acc.items() if x}
+
+
 def _image(rows, u):
     """The image of the dense vector ``u`` under a map given by its rows."""
     return [sum((x * u[c] for c, x in r.items()), _ZERO) for r in rows]
@@ -514,8 +624,8 @@ def socle(m):
             stacked.extend(m.rows(ar))
         rows = ratmat.kernel_rows(stacked, d)
         if rows:
-            bases[v] = tuple(tuple(r) for r in rows)
-    return SubRepWindow(m, bases, _truncated(eng, m))
+            bases[v] = tuple(rows)
+    return SubRepWindow._of_rows(m, bases, _truncated(eng, m))
 
 
 def radical(m):
@@ -534,10 +644,10 @@ def radical(m):
                 for j, x in r.items():
                     by_col.setdefault(j, {})[i] = x
             cols.extend(by_col.values())
-        rows = ratmat.span_rows(cols, d)
+        rows = ratmat.span_rows(cols)
         if rows:
-            bases[v] = tuple(tuple(r) for r in rows)
-    return SubRepWindow(m, bases, _truncated(eng, m))
+            bases[v] = tuple(rows)
+    return SubRepWindow._of_rows(m, bases, _truncated(eng, m))
 
 
 def subrep_generated(m, seeds):
@@ -583,10 +693,11 @@ def quotient(m, sub):
         d = m.dim(v)
         if d == 0:
             continue
-        rows = [list(r) for r in sub.bases.get(v, ())]
-        cv = ratmat.complement_basis(rows, d)
+        cv = ratmat.complement_basis(sub.bases.get(v, ()), d)
         if cv:
-            comp[v] = (rows, cv)
+            # the complement's unit vectors and the span's rows, as dicts
+            comp[v] = (list(sub._rows.get(v, ())),
+                       [{e.index(1): _ONE} for e in cv])
     dims = {v: len(cv) for v, (rows, cv) in comp.items()}
     maps = {}
     for ar in m.window.arrows:
@@ -604,7 +715,8 @@ def quotient(m, sub):
 def _coordinates(m, ar, vectors, basis, skip=0):
     """The map, as rows, whose column j holds the coordinates of m(ar)
     vectors[j] over the rows of ``basis`` after the first ``skip``; raises
-    unless each image lies in the span of ``basis``.
+    unless each image lies in the span of ``basis``.  Vectors and basis
+    rows are dicts of their nonzeros.
 
     One reduction of [basis^T | images] gives every column at once: the
     system has a row per target coordinate, the basis vectors' entries
@@ -614,12 +726,12 @@ def _coordinates(m, ar, vectors, basis, skip=0):
         return tuple({} for _ in range(k - skip))
     system = [{} for _ in range(m.dim(ar.target))]
     for col, b in enumerate(basis):
-        for i, x in enumerate(b):
-            if x:
-                system[i][col] = x
+        for i, x in b.items():
+            system[i][col] = x
     rows = m.rows(ar)
     for j, u in enumerate(vectors):
-        for i, x in enumerate(_image(rows, u)):
+        for i, r in enumerate(rows):
+            x = sum((y * u[c] for c, y in r.items() if c in u), _ZERO)
             if x:
                 system[i][k + j] = x
     coords = ratmat.solve_rows(system, k)
@@ -673,37 +785,54 @@ class HomSpace:
     kind: str
 
     def realize(self, x):
+        """The morphism of ``x``, spread from ``vertex`` along the standard
+        object's maps.  Each of them sends a basis path to one basis path:
+        for P_a, a path p at v to p.ar at w, so the image of p.ar is M(ar)
+        times that of p (x at the trivial path); for I_a, the functional of
+        a path t at w to that of ar.t at v, which is t's functional
+        composed with M(ar) (x at the trivial path).  So every component
+        is m(p) x, or x m(p), for each basis path p, with no path
+        enumerated again."""
         if len(x) != self.dimension:
             raise PreconditionError(
                 f"vector has length {len(x)}, expected {self.dimension}"
             )
         x = [Fraction(c) for c in x]
-        m, window = self.rep, self.rep.window
+        m, std, window = self.rep, self.standard, self.rep.window
+        forward = self.kind == "from_projective"
+        # P_a(ar) has its 1 for path p in p's column, I_a(ar) in t's row
+        sends = {}
+        for ar in window.arrows:
+            rows = std.rows(ar)
+            sends[ar] = {c: i for i, r in enumerate(rows) for c in r} if (
+                forward) else {t: c for t, r in enumerate(rows) for c in r}
+        # one dense vector per basis path of the standard object, by vertex
+        vecs = {self.vertex: {0: x}}
+        todo = [(self.vertex, 0)]
+        while todo:
+            v, k = todo.pop()
+            vec = vecs[v][k]
+            for ar in window.arrows_from(v) if forward else (
+                window.arrows_into(v)
+            ):
+                i = sends[ar].get(k)
+                if i is None:
+                    continue
+                if forward:
+                    w, new = ar.target, _image(m.rows(ar), vec)
+                else:
+                    w, new = ar.source, [_ZERO] * m.dim(ar.source)
+                    for j, c in _combine(enumerate(vec), m.rows(ar)).items():
+                        new[j] = c
+                vecs.setdefault(w, {})[i] = new
+                todo.append((w, i))
         comps = {}
-        if self.kind == "from_projective":
-            paths = _path_basis(window, self.vertex)
-            for v, ps in paths.items():
-                mat = [[_ZERO] * len(ps) for _ in range(m.dim(v))]
-                for col, (_, arrows) in enumerate(ps):
-                    p = Path(self.vertex, arrows)
-                    img = ratmat.mat_vec(apply_path(m, p), x)
-                    for row, c in enumerate(img):
-                        mat[row][col] = c
-                comps[v] = mat
-            return MorphismWindow(self.standard, m, comps)
-        paths = _path_basis(window, self.vertex, reverse=True)
-        for v, ps in paths.items():
-            mat = []
-            for _, arrows in ps:
-                mp = apply_path(m, Path(v, arrows))
-                mat.append(
-                    [
-                        sum((x[i] * mp[i][j] for i in range(len(mp))), _ZERO)
-                        for j in range(m.dim(v))
-                    ]
-                )
-            comps[v] = mat
-        return MorphismWindow(m, self.standard, comps)
+        for v, by_k in vecs.items():
+            lines = [by_k[k] for k in range(std.dim(v))]
+            comps[v] = ratmat.transpose(lines) if forward else lines
+        if forward:
+            return MorphismWindow(std, m, comps)
+        return MorphismWindow(m, std, comps)
 
     def extract(self, f):
         comp = f.component(self.vertex)
@@ -887,20 +1016,43 @@ def is_fd_rep_fp(q, m):
 # serialization
 
 
+class _Runs(dict):
+    """``cell`` repeated k times, by k, spelled on first use."""
+
+    def __init__(self, cell):
+        super().__init__()
+        self.cell = cell
+
+    def __missing__(self, k):
+        run = self[k] = self.cell * k
+        return run
+
+
 def dump_rep(m):
-    """Deterministic text dump: dimensions, then matrices in window order."""
+    """Deterministic text dump: dimensions, then matrices in window order.
+
+    A row is spelled from its stored entries, with each run of zero cells
+    around them copied from one string per run length."""
     lines = [f"window radius {m.window.radius}"]
     for v in m.window.vertices:
         lines.append(f"vertex {v.canonical_id()} dim {m.dim(v)}")
+    lead, tail = _Runs("0/1 "), _Runs(" 0/1")
     for ar in m.window.arrows:
         rows = m.rows(ar)
         cols = m.dim(ar.source)
         lines.append(f"arrow {ar.canonical_id()} {len(rows)}x{cols}")
         for r in rows:
-            # only stored entries are formatted; every other cell is zero
-            cells = ["0/1"] * cols
-            for j, c in r.items():
-                if c:
-                    cells[j] = f"{c.numerator}/{c.denominator}"
-            lines.append(" ".join(cells))
+            if not r:
+                lines.append(tail[cols][1:])
+                continue
+            parts, at = [], 0
+            for j in sorted(r):
+                c = r[j]
+                parts += (lead[j - at], "1/1" if c is _ONE else
+                          f"{c.numerator}/{c.denominator}" if c else "0/1",
+                          " ")
+                at = j + 1
+            # the last separator gives way to the zeros after the last entry
+            parts[-1] = tail[cols - at]
+            lines.append("".join(parts))
     return "\n".join(lines) + "\n"

@@ -26,6 +26,7 @@ order of elimination or on which way the rows came in.
 from fractions import Fraction
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def mat(rows):
@@ -83,11 +84,12 @@ def _from_dense(a):
 
 def _from_rows(rows):
     """Each nonempty row dict copied without its zero entries, values
-    Fractions."""
+    Fractions; the shared one is kept by identity, before any Fraction
+    code."""
     for r in rows:
         if r:
             yield {c: x if type(x) is Fraction else Fraction(x)
-                   for c, x in r.items() if x}
+                   for c, x in r.items() if x is _ONE or x}
 
 
 def _echelon(rows):
@@ -98,20 +100,24 @@ def _echelon(rows):
     at its pivot, the least column it holds.  A new row is reduced by
     clearing its least pivot column until none is left; a pivot row holds
     no column left of its pivot, so each subtraction only adds columns to
-    the right of the one it clears.
+    the right of the one it clears.  A row whose pivot entry is the
+    shared one is known to be a unit pivot row without a comparison.
     """
     piv = {}
+    pivots = piv.keys()
     for r in rows:
-        while r:
-            c = min((c for c in r if c in piv), default=None)
-            if c is None:
-                break
-            _axpy(r, -r[c], piv[c])
+        # the pivot columns r holds, found by one set intersection in C
+        hit = pivots & r.keys()
+        while hit:
+            c = min(hit)
+            _clear(r, c, piv[c])
+            hit = pivots & r.keys()
         if r:
             p = min(r)
             inv = r[p]
             # r is owned here, so a unit pivot row is kept as is
-            piv[p] = r if inv == 1 else {c: x / inv for c, x in r.items()}
+            piv[p] = r if inv is _ONE or inv == 1 else {
+                c: x / inv for c, x in r.items()}
     return piv
 
 
@@ -125,24 +131,30 @@ def _reduce(rows):
     order = sorted(piv)
     for p in reversed(order):
         r = piv[p]
-        for c in [c for c in r if c != p and c in piv]:
-            _axpy(r, -r[c], piv[c])
+        if len(r) > 1:
+            for c in [c for c in r if c != p and c in piv]:
+                _clear(r, c, piv[c])
     return [(p, piv[p]) for p in order]
 
 
-def _axpy(r, f, row):
-    """r += f * row in place, dropping entries that cancel."""
-    for c, y in row.items():
-        x = r.get(c, 0) + f * y
-        if x:
-            r[c] = x
-        else:
-            r.pop(c, None)
+def _clear(r, c, row):
+    """r -= r[c] * row in place, ``row`` the pivot row of column c, so
+    with a 1 there: r loses column c exactly, and its other entries take
+    the rest of the row, dropping any that cancel."""
+    f = r.pop(c)
+    for j, y in row.items():
+        if j != c:
+            x = r.get(j, _ZERO) - f * y
+            if x:
+                r[j] = x
+            else:
+                r.pop(j, None)
 
 
 def _dense(rows, cols):
+    """Length-``cols`` dense rows from row dicts."""
     out = []
-    for _, r in rows:
+    for r in rows:
         d = [_ZERO] * cols
         for c, x in r.items():
             d[c] = x
@@ -151,15 +163,11 @@ def _dense(rows, cols):
 
 
 def _kernel(rows, cols):
-    """Basis of the kernel from the (pivot, row) pairs of an rref, as
-    length-``cols`` vectors, one per free column."""
+    """Basis of the kernel from the (pivot, row) pairs of an rref, as row
+    dicts, one per free column in increasing order: 1 there and -x at the
+    pivot of each row holding x in that column."""
     pivots = {p for p, _ in rows}
-    out = {}
-    for fc in range(cols):
-        if fc not in pivots:
-            v = [_ZERO] * cols
-            v[fc] = Fraction(1)
-            out[fc] = v
+    out = {fc: {fc: _ONE} for fc in range(cols) if fc not in pivots}
     for p, r in rows:
         for c, x in r.items():
             if c != p:
@@ -196,18 +204,20 @@ def rank_rows(rows):
 def rref(a):
     """Reduced row echelon form over Fractions: (rows, pivot columns)."""
     rows = _reduce(_from_dense(a))
-    return _dense(rows, len(a[0]) if a else 0), [p for p, _ in rows]
+    return (_dense((r for _, r in rows), len(a[0]) if a else 0),
+            [p for p, _ in rows])
 
 
 def kernel_basis(a, cols=None):
     """Basis of {x : a x = 0} as length-``cols`` vectors."""
     if cols is None:
         cols = len(a[0]) if a else 0
-    return _kernel(_reduce(_from_dense(a)), cols)
+    return _dense(_kernel(_reduce(_from_dense(a)), cols), cols)
 
 
 def kernel_rows(rows, cols):
-    """``kernel_basis`` of the ``cols``-column matrix with these row dicts."""
+    """``kernel_basis`` of the ``cols``-column matrix with these row dicts,
+    each basis vector a dict of its nonzeros."""
     return _kernel(_reduce(_from_rows(rows)), cols)
 
 
@@ -232,12 +242,14 @@ def span_basis(vectors):
     """Reduced basis of the span of the given row vectors."""
     if not vectors:
         return []
-    return _dense(_reduce(_from_dense(vectors)), len(vectors[0]))
+    return _dense((r for _, r in _reduce(_from_dense(vectors))),
+                  len(vectors[0]))
 
 
-def span_rows(rows, cols):
-    """``span_basis`` of length-``cols`` vectors given as row dicts."""
-    return _dense(_reduce(_from_rows(rows)), cols)
+def span_rows(rows):
+    """``span_basis`` of vectors given as row dicts, each basis vector a
+    dict of its nonzeros."""
+    return [r for _, r in _reduce(_from_rows(rows))]
 
 
 def in_span(vectors, v):
