@@ -7,16 +7,17 @@ vertex) and tail-class limits (stabilized path spaces into a far tail
 checkpoint).  All entries are Fractions, so the rank arguments behind the
 surjectivity and bijectivity checks are exact.
 
-Each path basis is built once, each path carried as its arrow-id tuple next
-to its arrows: the tuples order the basis (as ``Path.sort_key`` does), index
-the rows and columns of the 0/1 arrow maps and spell the basis labels (as
-``Path.describe`` does), so no arrow id is recomputed per path.  Each arrow
+Each path basis is built once, by length, each path an arrow-id tuple
+linked to the path it extends: the tuples order the basis (as
+``Path.sort_key`` does) and spell the basis labels (as ``Path.describe``
+does, on first read), and the links give the 0/1 arrow maps.  Each arrow
 map is stored once, as sparse rows (``RepWindow.rows``), which the builders
 write directly and which ``socle``, ``radical``, ``subrep_generated``,
-sub-representations, quotients and ``dump_rep`` read, eliminating through
-``ratmat``'s row-dict functions; so their cost follows the nonzeros.  The
-dense grids (``RepWindow.maps``, ``matrix``) are a view built on first
-read, for the hom spaces, the naturality check and the brute-force oracle.
+sub-representations, quotients, the hom spaces, the naturality check and
+``dump_rep`` read, eliminating through ``ratmat``'s row-dict functions;
+so their cost follows the nonzeros.  The dense grids (``RepWindow.maps``,
+``matrix``) are a view built on first read, for ``apply_path`` and the
+brute-force oracle; so are a socle's or radical's dense bases.
 """
 
 from collections import deque
@@ -46,7 +47,8 @@ class RepWindow:
     once, as rows: one {source basis index: entry} dict per target basis
     vector (``rows``).  The builders here store only nonzero entries.  The
     constructor takes dense grids, lists of rows, and stores every entry
-    but ``ratmat``'s shared zero; ``from_rows`` takes the rows.  ``maps``
+    but ``ratmat``'s shared zero; ``from_rows`` takes the rows, and the
+    builders' labels are spelled on first read.  ``maps``
     and ``matrix`` give the dense meaning: ``maps`` is built on first read,
     from the rows with the shared zero in every other cell, so it gives
     back the grids the constructor was given.  Fibers and maps missing from

@@ -15,10 +15,11 @@ computed or built elsewhere) are truth-tested and, unless already
 Fractions, converted.  The ``*_rows`` functions take row dicts, the form
 in which ``linrep`` stores its arrow maps, and copy each one without its
 zero entries, so a row costs its stored entries and never the width of the
-matrix; the caller's rows are never changed.  Arithmetic is then spent only
-on nonzeros, and a pivot row is divided by its pivot only when that pivot
-is not 1, so the 0/1 maps of path representations are eliminated without a
-division.  Ranks, kernels, solutions and reduced bases are read off the
+matrix; the caller's rows are never changed, and kernels and spans come
+back as row dicts.  Arithmetic is then spent only on nonzeros: clearing a
+pivot column drops it exactly, and a pivot row is divided by its pivot
+only when that pivot is not 1, so the 0/1 maps of path representations
+are eliminated without a division.  Ranks, kernels, solutions and reduced bases are read off the
 reduced row echelon form, which is unique, so they do not depend on the
 order of elimination or on which way the rows came in.
 """
