@@ -196,6 +196,19 @@ def _pointwise_ia(eng):
 def classify(q):
     """The injective catalog of fp(Q); requires interval finiteness."""
     eng = regions.engine_for(q)
+    # each engine builds one window graph at its widest radius: the witness
+    # search reads this one up to reach_radius, and the class supports and
+    # the pointwise pass read the opposite one, so once the cycle check
+    # has passed that one is asked for their widest radius before the
+    # witness search builds it
+    eng.graph(eng.reach_radius)
+    if eng.cycle_witness() is None:
+        classes, reports = eng.tail_classes()
+        eng.op().graph(max(
+            eng.reach_radius,
+            eng.base_radius + eng.nstar,
+            *map(eng.class_radius, classes),
+        ))
     eng.ensure_interval_finite()
     ia_core = tuple((name, ia_fp(q, core(name))) for name in q.core_vertices)
     no_supp = eng.ia_no_set()
@@ -226,7 +239,6 @@ def classify(q):
                     "pointwise criterion"
                 )
         ia_rays.append(RayVerdict(name, dom, yes_set, no_set, text))
-    classes, reports = eng.tail_classes()
     y_classes = tuple((c, yp_fp(q, c)) for c in classes)
     return InjectiveCatalog(
         q, ia_core, tuple(ia_rays), y_classes, tuple(reports)

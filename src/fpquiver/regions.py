@@ -181,6 +181,9 @@ class RegionEngine:
         # every guard is settled and a vertex's translation arrows are the
         # template's, shifted: translation facts there are periodic
         self.guard_zone = self.c_max + self.bound + 2
+        # the widest query radius of the witness search: its candidate
+        # configs lie within guard_zone + 2 * bound of 0
+        self.reach_radius = self.base_radius + self.guard_zone + 2 * self.bound
         self._families = {f.label: f for f in q.families}
         # families from a templated ray index to one
         self.translation_families = [
@@ -241,8 +244,11 @@ class RegionEngine:
     def graph(self, radius):
         """The engine's one window graph, at least ``radius`` wide.
 
-        A wider request rebuilds it at twice its radius, or at ``radius``
-        when that is more, so upward radius sweeps rebuild it rarely."""
+        A fresh engine builds it at exactly ``radius``.  A wider request
+        rebuilds it at twice its radius, or at ``radius`` when that is
+        more, so upward radius sweeps rebuild it rarely.  Callers that
+        know their widest radius ask for it first and read narrower radii
+        through the level bound, so that one request builds one graph."""
         g = self._graph
         if g is not None and g.window.radius >= radius:
             return g
@@ -252,10 +258,13 @@ class RegionEngine:
         n = lay.size
         rays_at = [None] * n
         index_at = [0] * n
+        level = [0] * n
         for name, (start, lo) in lay.blocks.items():
             stop = start + w.radius - lo + 1
             rays_at[start:stop] = [name] * (stop - start)
             index_at[start:stop] = range(lo, w.radius + 1)
+            # lo is 0 on a nat block and -radius on an int block
+            level[start:stop] = [*range(-lo, 0, -1), *range(w.radius + 1)]
         # arrows straight from the layout: a statement's arrows are numbered
         # consecutively, and a templated endpoint walks its ray block
         out_adj = [[] for _ in range(n)]
@@ -284,7 +293,6 @@ class RegionEngine:
                     queue.append(ti)
         if len(topo) < n:
             topo = None
-        level = [abs(i) for i in index_at]
         self._graph = _Graph(
             w, out_adj, topo, trans_out, level, rays_at, index_at
         )
@@ -527,10 +535,15 @@ class RegionEngine:
         self.ensure_acyclic()
         meet = self.successors(a).intersect(self.predecessors(b))
         card = meet.cardinality(self.q)
+        infinite = isinstance(card, Infinite)
         base = self._query_radius(a, b)
-        if isinstance(card, Infinite):
-            radii = (base, base + self.margin, base + 2 * self.margin)
-            counts = tuple(self._window_count(r, a, b) for r in radii)
+        radii = tuple(
+            base + k * self.margin for k in range(3 if infinite else 2)
+        )
+        # the widest probe first, so the narrower ones are level bounds
+        self.graph(radii[-1])
+        counts = tuple(self._window_count(r, a, b) for r in radii)
+        if infinite:
             if not (counts[0] <= counts[1] <= counts[2] > counts[0]):
                 raise InternalConsistencyError(
                     f"Q({a.canonical_id()}, {b.canonical_id()}) is "
@@ -538,8 +551,7 @@ class RegionEngine:
                     f"{counts} at radii {radii}"
                 )
             return Infinite(PathGrowth(meet, card.witness, radii, counts))
-        n1 = self._window_count(base, a, b)
-        n2 = self._window_count(base + self.margin, a, b)
+        n1, n2 = counts
         if n1 != n2:
             raise InternalConsistencyError(
                 f"finite path count for Q({a.canonical_id()}, "
@@ -602,16 +614,22 @@ class RegionEngine:
         A meet with a finite union of sets is infinite only when its meet
         with some member is, so one reach from all ``a`` candidates and one
         into all ``b`` candidates decide the verdict; pairs are scanned only
-        for an ``a`` whose reach meets the ``b`` union infinitely."""
+        for an ``a`` whose reach meets the ``b`` union infinitely.  Each
+        engine's graph is read up to ``reach_radius``, so that is asked
+        for before the first read (the cycle check here, the pump set
+        there); the opposite engine is read only when the ``a`` reach is
+        infinite."""
+        self.graph(self.reach_radius)
         w = self.cycle_witness()
         if w is not None:
             return (False, (w.source, w.source), w)
         a_cands = self._infinity_sources()
-        op = self.op()
-        b_cands = op._infinity_sources()
         reach_a = self._succ_support(a_cands, self._query_radius(*a_cands))
         if reach_a.is_finite:
             return (True, None, None)
+        op = self.op()
+        op.graph(op.reach_radius)
+        b_cands = op._infinity_sources()
         op.ensure_acyclic()
         reach_b = op._succ_support(b_cands, op._query_radius(*b_cands))
         if reach_a.intersect(reach_b).is_finite:
@@ -772,10 +790,14 @@ class RegionEngine:
             at = self.orbit_step(cls, at, len(out) - 1)[2]
         return out
 
+    def class_radius(self, cls):
+        """The radius ``class_support`` reads the opposite engine at."""
+        return self.base_radius + abs(cls.start.index) + 2 * self.bound
+
     def class_support(self, cls):
         """Support of the associated limit representation: everything with a
         path into the tail."""
-        radius = self.base_radius + abs(cls.start.index) + 2 * self.bound
+        radius = self.class_radius(cls)
         seeds = self.class_tail_configs(cls, radius)
         # per ray, the tail indices form stride-spaced progressions from the
         # configs of the first turn, which climbs less than 2 * bound

@@ -11,9 +11,9 @@ from collections import deque
 
 import pytest
 
-from conftest import load_gen, load_quiver, window_targets
+from conftest import FIXTURE_DIR, load_gen, load_quiver, window_targets
 from fpquiver import cli, oracle, regions
-from fpquiver.classify import classify
+from fpquiver.classify import _pointwise_ia, classify
 from fpquiver.patterns import (
     Finite,
     IndexSet,
@@ -32,6 +32,7 @@ from fpquiver.qdl import (
 )
 from fpquiver.regions import (
     NotIntervalFinite,
+    PreconditionError,
     RegionEngine,
     StageResult,
     TailClass,
@@ -495,6 +496,106 @@ def test_one_graph_per_engine():
     for e in (engine_for(q), engine_for(q).op()):
         g = e.graph(0)
         assert all(e.graph(r) is g for r in range(g.window.radius + 1))
+
+
+def _one_window_texts():
+    gen = load_gen()
+    far60 = (
+        "quiver far60\nray a domain nat\nray b domain nat\n"
+        "family fa: a[i] -> a[i+1] for i >= 0\n"
+        "family fb: b[i] -> b[i+1] for i >= 0\n"
+        "arrow g: a[60] -> b[0]\n"
+    )
+    ladder = gen.ladder_text(random.Random(0), 3, 1, "nat", "ladder3nat")[0]
+    # two interval finite fragments whose a-side reach is infinite, so the
+    # witness search reads the opposite engine too, and whose tail classes
+    # have strides 2 and 4: their class supports read it past reach_radius
+    fragments = [gen.fragment(j)[0] for j in (307, 1338)]
+    assert all(gen.corpus_labels()[j] == "f" for j in (307, 1338))
+    return [(FIXTURE_DIR / f"{name}.quiver").read_text(encoding="utf-8")
+            for name in ("ex4", "ex5")] + [far60, ladder] + fragments
+
+
+@pytest.mark.parametrize("text", _one_window_texts(),
+                         ids=lambda t: t.split()[1])
+def test_one_window_build_per_engine_and_request(text, tmp_path, monkeypatch,
+                                                 capsys):
+    path = tmp_path / "q.quiver"
+    path.write_text(text, encoding="utf-8")
+    q = parse(text)
+    builds = []
+
+    def counting(desc, radius):
+        builds.append(desc)
+        return instantiate_window(desc, radius)
+
+    monkeypatch.setattr(regions, "instantiate_window", counting)
+    first, last = q.rays[0][0], q.rays[-1][0]
+    for argv, most in (
+        (["validate"], 1),
+        (["classify"], 1),
+        # the path probes reach past the witness search's radius
+        (["query", "paths", f"r:{first}:0", f"r:{last}:3"], 2),
+    ):
+        regions._ENGINES.clear()
+        builds.clear()
+        assert cli.main([argv[0], str(path)] + argv[1:]) == 0, argv
+        capsys.readouterr()
+        per_engine = {d: builds.count(d) for d in builds}
+        assert set(per_engine) <= {q, q.opposite()}
+        assert max(per_engine.values()) <= most, (argv, per_engine)
+
+
+def _first_radius_inputs():
+    gen = load_gen()
+    labels = gen.corpus_labels()
+    rng = random.Random("first-radius")
+    picks = []
+    for label in "nf":
+        picks += rng.sample([j for j, x in enumerate(labels) if x == label], 10)
+    return (
+        [load_quiver(f"ex{k}") for k in range(1, 6)]
+        + _narrow_radius_quivers()
+        + [parse(gen.fragment(j)[0]) for j in sorted(picks)]
+    )
+
+
+def _witness_answers(eng):
+    """The witness search's and the vertex criterion's answers, each error
+    standing as its type and message."""
+
+    def pointwise():
+        if eng.cycle_witness() is not None:
+            return None
+        ok = _pointwise_ia(eng)
+        return [ok(name, i) for name, dom in eng.q.rays
+                for i in range(0 if dom == "nat" else -eng.nstar,
+                               eng.nstar + 1)]
+
+    out = []
+    for read in (eng.cycle_witness, lambda: dict(eng.pump_tails),
+                 eng.interval_finite_witness, eng.ia_no_set, pointwise):
+        try:
+            out.append(read())
+        except (NotIntervalFinite, PreconditionError,
+                InternalConsistencyError) as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("q", _first_radius_inputs(), ids=lambda q: q.name)
+def test_witness_answers_do_not_depend_on_the_first_radius(q):
+    # one engine pair starts from exactly base_radius, so its cycle search
+    # reads a graph of that radius and the later reads rebuild it; the
+    # other starts from the reach radius the witness search asks for
+    answers = []
+    for first in ("base_radius", "reach_radius"):
+        eng = RegionEngine(q)
+        for e in (eng, eng.op()):
+            e.graph(getattr(e, first))
+            assert e.graph(0).window.radius == getattr(e, first)
+        answers.append(_witness_answers(eng))
+    assert answers[0] == answers[1]
 
 
 @pytest.mark.parametrize("q", _narrow_radius_quivers(),
