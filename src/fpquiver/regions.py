@@ -495,8 +495,11 @@ class RegionEngine:
         cached = self._succ_cache.get(vref)
         if cached is not None:
             return cached
+        radius = self._query_radius(vref)
+        # asked before the cycle check, which reads it at base_radius
+        self.graph(radius)
         self.ensure_acyclic()
-        sd = self._succ_support([vref], self._query_radius(vref))
+        sd = self._succ_support([vref], radius)
         self._succ_cache[vref] = sd
         return sd
 
@@ -573,9 +576,9 @@ class RegionEngine:
         whose arrows fill the fan's ray up to the window edge, and the
         template paths on from there, which drop less than ``bound``,
         hold indices above rho on every flagged ray."""
-        self.ensure_acyclic()
         radius = self._query_radius(vref)
         g = self.graph(radius)
+        self.ensure_acyclic()
         tails = self.pump_tails
         for vi in compress(range(len(g.level)), _reached(g, [vref], radius)):
             name = g.rays_at[vi]

@@ -512,8 +512,11 @@ def _one_window_texts():
     # have strides 2 and 4: their class supports read it past reach_radius
     fragments = [gen.fragment(j)[0] for j in (307, 1338)]
     assert all(gen.corpus_labels()[j] == "f" for j in (307, 1338))
+    # no pump and no fan, so the witness search never reads the opposite
+    # engine and a predecessor query is its first read
+    down = "quiver down\nray a domain nat\nfamily d: a[i+1] -> a[i] for i >= 0\n"
     return [(FIXTURE_DIR / f"{name}.quiver").read_text(encoding="utf-8")
-            for name in ("ex4", "ex5")] + [far60, ladder] + fragments
+            for name in ("ex4", "ex5")] + [far60, ladder] + fragments + [down]
 
 
 @pytest.mark.parametrize("text", _one_window_texts(),
@@ -534,6 +537,8 @@ def test_one_window_build_per_engine_and_request(text, tmp_path, monkeypatch,
     for argv, most in (
         (["validate"], 1),
         (["classify"], 1),
+        (["query", "pred", f"r:{last}:5"], 1),
+        (["query", "succ", f"r:{first}:5"], 1),
         # the path probes reach past the witness search's radius
         (["query", "paths", f"r:{first}:0", f"r:{last}:3"], 2),
     ):
