@@ -196,11 +196,10 @@ def _pointwise_ia(eng):
 def classify(q):
     """The injective catalog of fp(Q); requires interval finiteness."""
     eng = regions.engine_for(q)
-    # each engine builds one window graph at its widest radius: the witness
-    # search reads this one up to reach_radius, and the class supports and
-    # the pointwise pass read the opposite one, so once the cycle check
-    # has passed that one is asked for their widest radius before the
-    # witness search builds it
+    # size each engine's one window graph for its widest read before the
+    # witness search builds it: this engine for the reach, and, once the
+    # cycle check has passed, the opposite engine for the class supports
+    # and the pointwise pass, which can read it past reach_radius
     eng.graph(eng.reach_radius)
     if eng.cycle_witness() is None:
         classes, reports = eng.tail_classes()

@@ -248,7 +248,7 @@ class RegionEngine:
         rebuilds it at twice its radius, or at ``radius`` when that is
         more, so upward radius sweeps rebuild it rarely.  Callers that
         know their widest radius ask for it first and read narrower radii
-        through the level bound, so that one request builds one graph."""
+        through the level bound, so a wider later read is the exception."""
         g = self._graph
         if g is not None and g.window.radius >= radius:
             return g
